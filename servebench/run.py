@@ -34,7 +34,7 @@ ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
 from oracle import EpochOracles, GraphOracle, self_test  # noqa: E402
-from server import Server, build_index, live_segments  # noqa: E402
+from server import Server, adopt_orphans, build_index, live_segments, stop_children  # noqa: E402
 from workloads import WORKLOADS, seeded_rounds, workload  # noqa: E402
 
 #: server set-ups per run; ``setup_s`` is their median, the last one serves
@@ -48,6 +48,9 @@ CALIBRATION_EVERY_S = 0.2
 CALIBRATION_WINDOW_S = 1.0
 #: the kernel's median on the reference machine (see README, "Machine speed")
 CALIBRATION_REFERENCE_S = 0.005
+#: loop seconds between two PSS reads; the PSS metrics are medians of the
+#: reads in the second half of the loop
+PSS_EVERY_S = 1.0
 
 
 def calibration_kernel() -> float:
@@ -245,6 +248,11 @@ class Loop:
                 self.client.send(op)
         # server CPU seconds at each calibration sample, for local scaling
         self.cpu_marks: list[float] = []
+        # (time, server MiB, workers MiB) every PSS_EVERY_S
+        self.pss_marks: list[tuple[float, float, float]] = []
+
+    def sample_pss(self) -> None:
+        self.pss_marks.append((time.perf_counter(), *self.server.pss()))
 
     def round(self) -> None:
         ops = next(self.rounds)
@@ -269,9 +277,14 @@ class Loop:
         self.round_rates.append(len(ops) / busy)
         self.round_stamps.append(time.perf_counter())
 
-    def finish(self) -> dict:
-        """Read CPU and PSS, then run the deferred checks; returns samples."""
-        server_pss, worker_pss = self.server.pss()
+    def finish(self, pss_since: float) -> dict:
+        """Run the deferred checks; returns samples.
+
+        The PSS figures are medians of the reads taken from ``pss_since``
+        on: a single read of a server that frees and reallocates whole
+        graph snapshots can land tens of MiB off its level.
+        """
+        marks = [mark for mark in self.pss_marks if mark[0] >= pss_since] or self.pss_marks[-1:]
         self.client.run_deferred()
         return {
             "reads": self.reads,
@@ -282,8 +295,9 @@ class Loop:
             "read_stamps": self.read_stamps,
             "round_stamps": self.round_stamps,
             "cpu_marks": self.cpu_marks,
-            "server_pss": server_pss,
-            "worker_pss": worker_pss,
+            "server_pss": statistics.median(server for _, server, _ in marks),
+            "worker_pss": statistics.median(workers for _, _, workers in marks),
+            "pss": statistics.median(server + workers for _, server, workers in marks),
             "queries_sent": self.client.queries_sent,
         }
 
@@ -292,14 +306,21 @@ def run_loops(loops: list[Loop], seconds: float) -> list[dict]:
     """Whole rounds for ``seconds``, round-robin over ``loops``.
 
     Between rounds, every CALIBRATION_EVERY_S, the client times the
-    calibration kernel; each samples dict carries the :class:`Calibration`.
+    calibration kernel, and every PSS_EVERY_S it reads the servers' PSS;
+    each samples dict carries the :class:`Calibration`.
     """
     calibration = Calibration()
+    last_pss = float("-inf")
 
     def sample() -> None:
+        nonlocal last_pss
         calibration.sample()
         for loop in loops:
             loop.cpu_marks.append(loop.server.cpu_seconds())
+        if time.perf_counter() - last_pss >= PSS_EVERY_S:
+            last_pss = time.perf_counter()
+            for loop in loops:
+                loop.sample_pss()
 
     sample()
     started = time.perf_counter()
@@ -309,7 +330,9 @@ def run_loops(loops: list[Loop], seconds: float) -> list[dict]:
         if time.perf_counter() - calibration.stamps[-1] >= CALIBRATION_EVERY_S:
             sample()
     sample()
-    results = [loop.finish() for loop in loops]
+    for loop in loops:
+        loop.sample_pss()
+    results = [loop.finish(pss_since=started + seconds / 2) for loop in loops]
     for samples in results:
         samples["calibration"] = calibration
     return results
@@ -365,7 +388,7 @@ def end_to_end(samples: dict, setups: list[float]) -> dict:
         "read_p90_ms": (percentile(reads_ms, 90), "ms", 1),
         "cpu_ms_per_op": ((samples["cpu_marks"][-1] - samples["cpu_marks"][0]) * 1000.0 / ops,
                           "ms", 1),
-        "pss_mb": (samples["server_pss"] + samples["worker_pss"], "MiB", 0),
+        "pss_mb": (samples["pss"], "MiB", 0),
         "setup_s": (statistics.median(setups), "s", 1),
     }
     print(json.dumps({
@@ -478,6 +501,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # a terminated run still stops its servers (the cleanup paths catch BaseException)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    adopt_orphans()
+    try:
+        return _main(parser, args)
+    finally:
+        # nothing the run started may outlive it: not a server's worker, not
+        # this process's own resource tracker
+        killed = stop_children()
+        if killed:
+            print(f"killed leftover processes: {killed}", file=sys.stderr)
+
+
+def _main(parser, args) -> int:
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         print(f"error: no repro sources under {ROOT / 'src'}", file=sys.stderr)
         return 2

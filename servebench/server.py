@@ -9,8 +9,10 @@ count what the serving tier as a whole spends.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -21,6 +23,10 @@ HOST = "127.0.0.1"
 #: a request that takes longer than this is a hang, not a slow answer
 REQUEST_TIMEOUT_S = 120.0
 _CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
+#: prctl option: orphaned descendants are re-parented to this process
+_PR_SET_CHILD_SUBREAPER = 36
+#: seconds the benchmark's leftover processes get to end before they are killed
+STOP_GRACE_S = 10.0
 
 
 def _stat_fields(pid: int) -> list[str]:
@@ -79,6 +85,62 @@ def _alive(pid: int) -> bool:
         return _stat_fields(pid)[0] != "Z"
     except OSError:
         return False
+
+
+def adopt_orphans() -> None:
+    """Become the subreaper of every process this one starts.
+
+    A process whose parent exits first (a server's worker or resource
+    tracker) is then re-parented here instead of to init, so
+    :func:`stop_children` still finds and reaps it.
+    """
+    try:
+        ctypes.CDLL(None, use_errno=True).prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+    except (OSError, AttributeError):
+        pass
+
+
+def _reap() -> None:
+    """Collect the exit status of every child that has ended."""
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid == 0:
+            return
+
+
+def stop_children(grace_s: float = STOP_GRACE_S) -> list[int]:
+    """End every process below this one and wait for each; returns the killed.
+
+    This process's own multiprocessing resource tracker (started by an
+    in-process ``FrozenGraph.share``) is stopped and waited for first; any
+    process still alive after ``grace_s`` seconds is killed, and all are
+    reaped before this returns.
+    """
+    from multiprocessing import resource_tracker
+
+    try:
+        resource_tracker._resource_tracker._stop()
+    except Exception:  # noqa: BLE001 - not running, or already stopped
+        pass
+    killed: list[int] = []
+    deadline = time.monotonic() + grace_s
+    while True:
+        _reap()
+        alive = [pid for pid in descendants(os.getpid()) if _alive(pid)]
+        if not alive or (killed and time.monotonic() >= deadline):
+            return killed
+        if not killed and time.monotonic() >= deadline:
+            for pid in alive:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass
+            killed = alive
+            deadline = time.monotonic() + grace_s
+        time.sleep(0.02)
 
 
 class Connection:

@@ -1,5 +1,6 @@
 """The benchmark's own tests: the oracle on hand-checked graphs, the
-short mode end to end, and the refusal to run without sources.
+short mode end to end, the refusal to run without sources, and that no
+process the benchmark starts outlives it.
 
     python3 -m pytest servebench -q
 """
@@ -90,3 +91,35 @@ def test_refuses_to_run_without_sources(tmp_path):
     )
     assert done.returncode != 0
     assert '"correct"' not in done.stdout
+
+
+_ORPHANING_SCRIPT = """
+import subprocess, sys
+from multiprocessing import resource_tracker
+sys.path.insert(0, sys.argv[1])
+from server import _alive, adopt_orphans, stop_children
+adopt_orphans()
+resource_tracker.ensure_running()
+tracker = resource_tracker._resource_tracker._pid
+# a child that starts a sleeper and exits at once: the sleeper is orphaned
+child = subprocess.run(
+    [sys.executable, "-c",
+     "import subprocess, sys; print(subprocess.Popen([sys.executable, '-c', "
+     "'import time; time.sleep(60)'], stdout=subprocess.DEVNULL, "
+     "stderr=subprocess.DEVNULL).pid)"],
+    capture_output=True, text=True, check=True,
+)
+sleeper = int(child.stdout)
+killed = stop_children(grace_s=1.0)
+print(killed == [sleeper], _alive(sleeper), _alive(tracker))
+"""
+
+
+def test_stop_children_stops_tracker_and_reaps_orphans():
+    done = subprocess.run(
+        [sys.executable, "-c", _ORPHANING_SCRIPT, str(HERE)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    # the orphan was re-parented here and killed; the tracker ended on its own
+    assert done.stdout.split() == ["True", "False", "False"]
