@@ -25,17 +25,16 @@ a from-scratch reference graph for *every* epoch, so the check is exact:
 With ``--index require`` the parity phase also exercises the index tier
 under mutation: community-index files are built first, the server binds
 them to the epochal shards, every ``mutate`` response must report the
-index as ``repaired`` (or ``rebuilt`` on oversized batches) — a
-require-mode server never refuses a write — and post-swap queries must
+index ``rebuilt`` for the new epoch — a require-mode server never
+refuses a write — and post-swap queries must
 keep *hitting* the index, with the ``/dev/shm`` leak gate covering the
 superseded ``repro_snap_idx_*`` segments.
 
 The timing phase (skipped under ``--parity-only``) compares the two
 publication paths on a bigger mutation stream in-process: a from-scratch
-refreeze per batch vs the incremental core/support/truss repair, and —
-with a bound community index — a full per-epoch index rebuild vs the
-incremental window repair.  The wall-clock numbers ride the JSON record
-and are **never** asserted.
+refreeze per batch vs the incremental core/support/truss repair, and
+times the per-epoch rebuild of a bound community index.  The wall-clock
+numbers ride the JSON record and are **never** asserted.
 
 Usage::
 
@@ -209,7 +208,7 @@ def run_parity(
     segments_before = live_snapshot_segments()
 
     # with --index the mutation stream must keep the index hot: builds the
-    # file first, then every epoch swap republishes the repaired one
+    # file first, then every epoch swap republishes the rebuilt one
     indexed = bool(index_mode) and index_mode != "off"
     server_kwargs: dict = {"epochs": True}
     index_tmp = None
@@ -250,11 +249,10 @@ def run_parity(
                     check(f"mutate-{position}-epoch", response.get("epoch") == position)
                     if indexed:
                         # a require-mode server must never refuse a write:
-                        # the prepared epoch carries a repaired (or, above
-                        # the batch threshold, rebuilt) index
+                        # the prepared epoch carries a rebuilt index
                         check(
                             f"mutate-{position}-index-maintained",
-                            response.get("index") in ("repaired", "rebuilt"),
+                            response.get("index") == "rebuilt",
                         )
                     mutation_report.append(
                         {
@@ -296,7 +294,7 @@ def run_parity(
             if indexed:
                 # a probe NOT in the query workers' rotation: guaranteed
                 # cache-cold, so it must reach the post-final-swap replica
-                # set and be answered from the repaired index
+                # set and be answered from the rebuilt index
                 fresh = client.query(PARITY_DATASET, "hightruss", [16])
                 check("index-post-swap-query-ok", bool(fresh.get("ok")))
             stats = client.stats()
@@ -309,13 +307,8 @@ def run_parity(
             check("index-stays-effective", shard["index"]["effective"] == "indexed")
             check("index-hits-after-swap", shard["index"]["hits"] > 0)
             check(
-                "index-repaired-at-least-once",
-                any(entry["index"] == "repaired" for entry in mutation_report),
-            )
-            check(
                 "index-maintained-every-epoch",
-                shard["epoch"]["index_repairs"] + shard["epoch"]["index_rebuilds"]
-                == epochs,
+                shard["epoch"]["index_rebuilds"] == epochs,
             )
     finally:
         exit_code = server.shutdown()
@@ -358,11 +351,10 @@ def run_parity(
         f"enforced, clean shutdown, no leaked shared-memory segments"
     )
     if indexed:
-        repaired = sum(1 for entry in mutation_report if entry["index"] == "repaired")
         print(
-            f"index under mutation ok: mode {index_mode}, {repaired}/{epochs} "
-            f"epochs repaired incrementally (rest rebuilt), index stayed "
-            f"effective with {shard['index']['hits']} post-swap hits"
+            f"index under mutation ok: mode {index_mode}, rebuilt for all "
+            f"{epochs} epochs, index stayed effective with "
+            f"{shard['index']['hits']} post-swap hits"
         )
     return 0
 
@@ -397,23 +389,15 @@ def run_timings(scale: float, json_path: str | None) -> int:
     assert refreeze_manager.describe()["refrozen_batches"] == batch_count
 
     # the index tier under the same stream: a bound community index is
-    # maintained per epoch — full from-scratch rebuild (refreeze path) vs
-    # the incremental window repair (incremental path)
+    # rebuilt per epoch (on top of the refreeze path)
     rebuild_seconds, rebuild_manager = publish(threshold=0, indexed=True)
-    repair_seconds, repair_manager = publish(threshold=64, indexed=True)
     assert rebuild_manager.describe()["index_rebuilds"] == batch_count
-    assert repair_manager.describe()["index_repairs"] == batch_count
 
     rows = [
         (
             f"{TIMING_DATASET} x{batch_count} single-op epochs",
             refreeze_seconds,
             incremental_seconds,
-        ),
-        (
-            f"{TIMING_DATASET} x{batch_count} + index maintenance",
-            rebuild_seconds,
-            repair_seconds,
         ),
     ]
     print_table(rows, columns=("rebuild (s)", "increm (s)"))
@@ -422,12 +406,10 @@ def run_timings(scale: float, json_path: str | None) -> int:
         f"epoch publication ({TIMING_DATASET}, {batch_count} single-edge batches): "
         f"from-scratch refreeze {refreeze_seconds:.4f}s vs incremental repair "
         f"{incremental_seconds:.4f}s "
-        f"({refreeze_seconds / incremental_seconds:.2f}x); with a bound "
-        f"community index, per-epoch full rebuild {rebuild_seconds:.4f}s vs "
-        f"incremental window repair {repair_seconds:.4f}s "
-        f"({rebuild_seconds / repair_seconds:.2f}x); all paths are "
-        f"bit-identical by construction (the parity smoke and the test suite "
-        f"enforce it)"
+        f"({refreeze_seconds / incremental_seconds:.2f}x); refreeze plus a "
+        f"per-epoch community-index rebuild {rebuild_seconds:.4f}s; all paths "
+        f"are bit-identical by construction (the parity smoke and the test "
+        f"suite enforce it)"
     )
     if json_path:
         append_json(
@@ -443,7 +425,6 @@ def run_timings(scale: float, json_path: str | None) -> int:
                 "refreeze": round(refreeze_seconds / batch_count * 1000.0, 3),
                 "incremental": round(incremental_seconds / batch_count * 1000.0, 3),
                 "index_rebuild": round(rebuild_seconds / batch_count * 1000.0, 3),
-                "index_repair": round(repair_seconds / batch_count * 1000.0, 3),
             },
         )
     return 0
@@ -458,7 +439,7 @@ def main(argv=None) -> int:
         default=None,
         help="forwarded to `repro serve --index`; with 'require' the parity "
         "phase builds index files first, asserts every mutation keeps the "
-        "index maintained (repaired/rebuilt, never refused) and that "
+        "index rebuilt (never refused) and that "
         "post-swap queries still hit it",
     )
     args = parser.parse_args(argv)

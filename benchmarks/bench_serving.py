@@ -70,6 +70,7 @@ cluster row: 1 node vs N nodes).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shutil
 import statistics
@@ -88,7 +89,7 @@ from repro.datasets import load_dataset
 from repro.graph import shared_memory_available
 from repro.experiments import generate_query_sets
 from repro.experiments.registry import run_algorithm
-from repro.serving import ServingClient, ServingClientPool, latency_percentile
+from repro.serving import ServingClient, ServingClientPool
 
 HOST = "127.0.0.1"
 SMALL_DATASETS = ("karate", "dolphin", "mexican")
@@ -642,8 +643,12 @@ def run_trace_overhead_phase(server_config: dict, clients: int):
 
 
 def percentile_ms(latencies, fraction: float) -> float:
-    """Server-side nearest-rank percentile (shared helper), in milliseconds."""
-    return round(latency_percentile(latencies, fraction) * 1000.0, 3)
+    """Nearest-rank percentile of a latency sample (0 when empty), in ms."""
+    if not latencies:
+        return 0.0
+    ordered = sorted(latencies)
+    rank = max(1, math.ceil(len(ordered) * fraction))
+    return round(ordered[rank - 1] * 1000.0, 3)
 
 
 # ----------------------------------------------------------------------------

@@ -248,7 +248,7 @@ class NodeAgent:
             self.engine.set_owned_datasets(owned)
             # warm only the newly *gained* shards (dataset load, freeze,
             # community-index load — mutation-serving owners republish the
-            # repaired index file with every epoch, so the failover target
+            # rebuilt index file with every epoch, so the failover target
             # picks up the current one) so a rerouted query is answered
             # from the index instead of re-deriving decompositions on the
             # request path; shards this node already serves are warm and

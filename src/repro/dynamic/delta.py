@@ -44,10 +44,13 @@ def _coerce_node(value: Any) -> Node:
 
     The wire carries JSON, where a client may send ``"5"`` for node ``5``;
     coercing here keeps mutation node identity consistent with query node
-    identity (``parse_request`` applies the same rule).
+    identity (``parse_request`` applies the same rule, JSON arrays becoming
+    tuple ids).
     """
+    if isinstance(value, list):
+        return tuple(_coerce_node(item) for item in value)
     if isinstance(value, bool):
-        raise ValueError(f"node ids must be ints or strings, got {value!r}")
+        raise ValueError(f"node ids must be ints, strings or arrays, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
@@ -55,7 +58,7 @@ def _coerce_node(value: Any) -> Node:
             return int(value)
         except ValueError:
             return value
-    raise ValueError(f"node ids must be ints or strings, got {value!r}")
+    raise ValueError(f"node ids must be ints, strings or arrays, got {value!r}")
 
 
 def _coerce_weight(value: Any) -> float:
@@ -178,6 +181,8 @@ class DeltaBatch:
                     batch._ops.append((kind, _coerce_node(arguments[0])))
             except ValueError as exc:
                 raise ValueError(f"ops[{position}]: {exc}") from None
+            except RecursionError:
+                raise ValueError(f"ops[{position}]: node ids nest too deeply") from None
         return batch
 
     @classmethod

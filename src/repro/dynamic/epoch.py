@@ -8,8 +8,8 @@ serving tier keys result caches by epoch and stamps every response with
 it, so "which graph answered this query" is always explicit on the wire.
 
 Publication is two-phase so callers can interpose work between computing a
-snapshot and exposing it (the serving layer reloads the community index
-and builds a fresh replica set in between):
+snapshot and exposing it (the serving layer republishes the community
+index and builds a fresh replica set in between):
 
 * :meth:`prepare` does *all* the work on private copies — replays the
   batch, repairs the decomposition state (incrementally up to
@@ -35,9 +35,8 @@ from typing import Any, Optional
 
 from ..graph.csr import FrozenGraph, csr_core_numbers, freeze
 from ..graph.csr_truss import csr_edge_index, csr_edge_support, csr_truss_numbers
-from ..graph.graph import Edge, Graph, GraphError, Node
+from ..graph.graph import Edge, Graph, Node
 from ..graph.index import CommunityIndex, _assemble_index
-from ..graph.index_delta import repair_index
 from ..graph.trussness import _edge_value_dict
 from .delta import DeltaBatch
 from .incremental import apply_op
@@ -49,11 +48,9 @@ class PreparedEpoch:
     """Everything :meth:`EpochManager.commit` needs, computed off to the side.
 
     When the manager has a bound community index, ``index`` carries its
-    maintained successor (a fresh :class:`CommunityIndex` bit-identical to
-    a from-scratch build on the new snapshot), ``index_mode`` says how it
-    was produced (``"repaired"`` incrementally or ``"rebuilt"`` from the
-    already-maintained decompositions) and ``index_seconds`` how long that
-    took — the number the dynamic bench records as repair-vs-rebuild.
+    successor — rebuilt from the decompositions ``prepare`` already holds,
+    bit-identical to a from-scratch build on the new snapshot — and
+    ``index_seconds`` how long that took.
     """
 
     __slots__ = (
@@ -65,7 +62,6 @@ class PreparedEpoch:
         "core",
         "support",
         "index",
-        "index_mode",
         "index_seconds",
     )
 
@@ -80,7 +76,6 @@ class PreparedEpoch:
         core: dict[Node, int],
         support: dict[Edge, int],
         index: Optional[CommunityIndex] = None,
-        index_mode: Optional[str] = None,
         index_seconds: float = 0.0,
     ) -> None:
         self.epoch = epoch
@@ -91,7 +86,6 @@ class PreparedEpoch:
         self.core = core
         self.support = support
         self.index = index
-        self.index_mode = index_mode
         self.index_seconds = index_seconds
 
     def __repr__(self) -> str:
@@ -125,7 +119,7 @@ class EpochManager:
         self.threshold = threshold
         self.epoch = epoch
         # optional observability hook (a repro.obs.trace.Tracer): when set,
-        # traced mutations get epoch.prepare / index.repair spans
+        # traced mutations get epoch.prepare / epoch.index spans
         self.tracer = None
         self.frozen = frozen if frozen is not None else freeze(graph)
         self._graph = graph
@@ -137,16 +131,15 @@ class EpochManager:
         self.incremental_batches = 0
         self.refrozen_batches = 0
         self.ops_applied = 0
-        self.index_repairs = 0
         self.index_rebuilds = 0
 
     def bind_index(self, index: Optional[CommunityIndex]) -> None:
         """Adopt the dataset's community index; ``prepare`` maintains it.
 
         Every subsequent :meth:`prepare` produces the index of the *new*
-        snapshot alongside it — repaired in place for incremental batches,
-        rebuilt from the already-maintained decompositions otherwise — so a
-        serving tier in ``--index require`` mode never refuses a mutation.
+        snapshot alongside it, rebuilt from the decompositions it has just
+        maintained, so a serving tier in ``--index require`` mode never
+        refuses a mutation.
         ``None`` detaches.  Binding runs the usual digest check against the
         committed snapshot.
         """
@@ -180,8 +173,8 @@ class EpochManager:
         state is untouched — everything runs on copies) and ``ValueError``
         on an empty batch.  ``trace`` is an optional observability context
         (see :mod:`repro.obs.trace`); combined with an attached
-        ``tracer`` it spans the whole prepare and the index maintenance
-        section inside it.
+        ``tracer`` it spans the whole prepare and the index rebuild inside
+        it.
         """
         tracer = self.tracer if trace is not None else None
         prepare_started = wall_time() if tracer is not None else 0.0
@@ -190,13 +183,12 @@ class EpochManager:
             raise ValueError("cannot publish an epoch from an empty delta batch")
         working = self._graph.copy()
         incremental = len(ops) <= self.threshold
-        touched: set[Node] = set()
         if incremental:
             committed_core, committed_support = self._state()
             core = dict(committed_core)
             support = dict(committed_support)
             for op in ops:
-                apply_op(working, core, support, op, touched=touched)
+                apply_op(working, core, support, op)
         else:
             batch.apply(working)
             core = {}
@@ -235,38 +227,23 @@ class EpochManager:
         cache[("csr-edge-index",)] = index
         cache[("edge-support",)] = _edge_value_dict(frozen, index, support_list)
         cache[("csr-edge-truss",)] = list(truss_list)
-        # maintain the bound community index: incremental batches repair it
-        # in place (bit-identical to a from-scratch build, enforced by the
-        # parity tests); anything else rebuilds from the decompositions just
-        # computed — either way the index is never stale and never rebuilt
-        # on the serving path
+        # rebuild the bound community index from the decompositions just
+        # computed, off the serving path, so it is never stale
         index_new: Optional[CommunityIndex] = None
-        index_mode: Optional[str] = None
         index_seconds = 0.0
         if self.index is not None:
             index_wall_started = wall_time() if tracer is not None else 0.0
             index_started = perf_counter()
-            if incremental and self.index.format_version >= 2:
-                try:
-                    index_new = repair_index(
-                        self.index, frozen, core_list, index, truss_list, touched=touched
-                    )
-                    index_mode = "repaired"
-                except GraphError:
-                    index_new = None
-            if index_new is None:
-                index_new = _assemble_index(
-                    frozen, core_list, index, truss_list, dataset=self.index.dataset
-                )
-                index_mode = "rebuilt"
+            index_new = _assemble_index(
+                frozen, core_list, index, truss_list, dataset=self.index.dataset
+            )
             index_seconds = perf_counter() - index_started
             if tracer is not None:
                 tracer.emit(
                     trace,
-                    "index.repair",
+                    "epoch.index",
                     index_wall_started,
                     index_wall_started + index_seconds,
-                    mode=index_mode,
                 )
         if tracer is not None:
             tracer.emit(
@@ -287,7 +264,6 @@ class EpochManager:
             core=core,
             support=support,
             index=index_new,
-            index_mode=index_mode,
             index_seconds=index_seconds,
         )
 
@@ -311,10 +287,7 @@ class EpochManager:
             self.refrozen_batches += 1
         if prepared.index is not None:
             self.index = prepared.index
-            if prepared.index_mode == "repaired":
-                self.index_repairs += 1
-            else:
-                self.index_rebuilds += 1
+            self.index_rebuilds += 1
         return prepared
 
     def apply(self, batch: DeltaBatch) -> PreparedEpoch:
@@ -346,6 +319,5 @@ class EpochManager:
             "refrozen_batches": self.refrozen_batches,
             "ops_applied": self.ops_applied,
             "index_bound": self.index is not None,
-            "index_repairs": self.index_repairs,
             "index_rebuilds": self.index_rebuilds,
         }

@@ -27,18 +27,12 @@ so the triangle-counting pass — the dominant cost — is never repeated.
 All functions mutate ``graph``, ``core`` (node → core number) and
 ``support`` (canonical edge → triangle count) in place; the epoch manager
 calls them on private copies and publishes only on success.
-
-Each mutation optionally records the nodes whose incident structure it
-touched into a caller-supplied ``touched`` set — the locality hint the
-index repair (:func:`repro.graph.index_delta.repair_index`) seeds its
-changed-node set with.  The hint is conservative (a superset is always
-safe); the repair's own exact diff extends it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 from ..graph.graph import Edge, Graph, Node
 
@@ -140,8 +134,6 @@ def insert_edge(
     u: Node,
     v: Node,
     weight: float = 1.0,
-    *,
-    touched: Optional[set[Node]] = None,
 ) -> None:
     """Insert ``(u, v)`` and repair ``core`` and ``support`` exactly.
 
@@ -153,8 +145,6 @@ def insert_edge(
     if graph.has_edge(u, v):
         graph.add_edge(u, v, weight)  # weight-only: no structural change
         return
-    if touched is not None:
-        touched.update((u, v))
     common: list[Node] = []
     if graph.has_node(u) and graph.has_node(v):
         u_adjacency = graph.adjacency(u)
@@ -178,14 +168,10 @@ def delete_edge(
     support: dict[Edge, int],
     u: Node,
     v: Node,
-    *,
-    touched: Optional[set[Node]] = None,
 ) -> None:
     """Remove ``(u, v)`` and repair ``core`` and ``support`` exactly."""
     if not graph.has_edge(u, v):
         graph.remove_edge(u, v)  # raises the canonical GraphError
-    if touched is not None:
-        touched.update((u, v))
     u_adjacency = graph.adjacency(u)
     v_adjacency = graph.adjacency(v)
     if len(u_adjacency) > len(v_adjacency):
@@ -201,16 +187,8 @@ def delete_edge(
     _core_delete(graph, core, u, v)
 
 
-def add_node(
-    graph: Graph,
-    core: dict[Node, int],
-    node: Node,
-    *,
-    touched: Optional[set[Node]] = None,
-) -> None:
+def add_node(graph: Graph, core: dict[Node, int], node: Node) -> None:
     """Add an isolated node (no-op if present); isolated nodes have K = 0."""
-    if touched is not None and not graph.has_node(node):
-        touched.add(node)
     graph.add_node(node)
     core.setdefault(node, 0)
 
@@ -220,16 +198,12 @@ def remove_node(
     core: dict[Node, int],
     support: dict[Edge, int],
     node: Node,
-    *,
-    touched: Optional[set[Node]] = None,
 ) -> None:
     """Remove a node as a sequence of exact single-edge deletions."""
     if not graph.has_node(node):
         graph.remove_node(node)  # raises the canonical GraphError
-    if touched is not None:
-        touched.add(node)
     for neighbor in list(graph.neighbors(node)):
-        delete_edge(graph, core, support, node, neighbor, touched=touched)
+        delete_edge(graph, core, support, node, neighbor)
     graph.remove_node(node)
     del core[node]
 
@@ -239,18 +213,16 @@ def apply_op(
     core: dict[Node, int],
     support: dict[Edge, int],
     op: tuple[Any, ...],
-    *,
-    touched: Optional[set[Node]] = None,
 ) -> None:
     """Apply one recorded :class:`~repro.dynamic.delta.DeltaBatch` op."""
     kind = op[0]
     if kind == "add_edge":
-        insert_edge(graph, core, support, op[1], op[2], op[3], touched=touched)
+        insert_edge(graph, core, support, op[1], op[2], op[3])
     elif kind == "remove_edge":
-        delete_edge(graph, core, support, op[1], op[2], touched=touched)
+        delete_edge(graph, core, support, op[1], op[2])
     elif kind == "add_node":
-        add_node(graph, core, op[1], touched=touched)
+        add_node(graph, core, op[1])
     elif kind == "remove_node":
-        remove_node(graph, core, support, op[1], touched=touched)
+        remove_node(graph, core, support, op[1])
     else:  # unreachable through DeltaBatch; guards hand-built tuples
         raise ValueError(f"unknown delta operation {kind!r}")

@@ -56,7 +56,6 @@ from .shm import (
 )
 from .index import (
     INDEX_ALGORITHMS,
-    INDEX_COMPAT_VERSIONS,
     INDEX_DIR_ENV,
     INDEX_FORMAT_VERSION,
     INDEX_MODES,
@@ -69,7 +68,6 @@ from .index import (
     load_index,
     save_index,
 )
-from .index_delta import repair_index
 from .io import (
     from_networkx,
     parse_edge_list,
@@ -137,12 +135,10 @@ __all__ = [
     "save_index",
     "load_index",
     "attach_index",
-    "repair_index",
     "dataset_digest",
     "default_index_dir",
     "index_path",
     "INDEX_FORMAT_VERSION",
-    "INDEX_COMPAT_VERSIONS",
     "INDEX_MODES",
     "INDEX_ALGORITHMS",
     "INDEX_DIR_ENV",

@@ -58,25 +58,18 @@ __all__ = [
     "default_index_dir",
     "index_path",
     "INDEX_FORMAT_VERSION",
-    "INDEX_COMPAT_VERSIONS",
     "INDEX_MODES",
     "INDEX_ALGORITHMS",
     "INDEX_DIR_ENV",
     "INDEX_SEGMENT_TAG",
 ]
 
-#: bump when the on-disk layout changes; unknown versions are rejected with
+#: bump when the on-disk layout changes; any other version is rejected with
 #: a "rebuild" error instead of being misread.
-INDEX_FORMAT_VERSION = 2
-
-#: older on-disk versions this build still reads.  v1 files lack the edge
-#: hierarchy (``edge_*`` / ``kecc_label`` regions), so ``huang2015`` and
-#: ``kecc`` fall through to the executed path while kc/kt/hightruss keep
-#: their fast path — the serving stats surface the reason.
-INDEX_COMPAT_VERSIONS = (1, INDEX_FORMAT_VERSION)
+INDEX_FORMAT_VERSION = 3
 
 #: the algorithms an index can serve (everything else takes the executed
-#: path).  ``huang2015`` and ``kecc`` need the v2 edge hierarchy.
+#: path).
 INDEX_ALGORITHMS = ("kc", "kt", "hightruss", "huang2015", "kecc")
 
 #: serving-side index policy: ``auto`` uses an index when a fresh one exists,
@@ -100,7 +93,11 @@ _MAGIC = b"REPROIDX"
 #: indices, permutation positions, window bounds, core/truss levels).
 _FIELD_TYPECODE = "l"
 
-_FIELDS_V1 = (
+#: the flat regions.  ``kecc_label`` holds the per-core-level kecc class
+#: labels (``core_kmax * nodes`` longs, level k at offset ``(k-1)*nodes``;
+#: -1 = not in the k-core or a partition singleton, -2 = candidate above the
+#: cap); ``huang2015`` seeds its phase 1 from the truss windows.
+_FIELDS = (
     "node_core",
     "node_truss",
     "core_order",
@@ -113,20 +110,8 @@ _FIELDS_V1 = (
     "truss_ptr",
     "truss_start",
     "truss_end",
+    "kecc_label",
 )
-
-#: v2 edge-hierarchy regions: the canonical per-edge-id endpoint pairs and
-#: truss numbers (what the incremental repair diffs against, and what seeds
-#: ``huang2015``), plus the flat per-core-level kecc class labels
-#: (``core_kmax * nodes`` longs, level k at offset ``(k-1)*nodes``; -1 = not
-#: in the k-core or a partition singleton, -2 = candidate above the cap).
-_FIELDS_EDGE = ("edge_eu", "edge_ev", "edge_truss", "kecc_label")
-
-_FIELDS = _FIELDS_V1 + _FIELDS_EDGE
-
-
-def _fields_for_version(version: int) -> tuple[str, ...]:
-    return _FIELDS_V1 if version < 2 else _FIELDS
 
 
 def default_index_dir() -> Path:
@@ -273,7 +258,7 @@ def _inc_max_truss(csr: CSRGraph, edge_id, truss) -> array:
 def _kecc_labels(
     frozen: FrozenGraph, core_levels, cap: int
 ) -> tuple[array, list[int]]:
-    """Flat per-core-level kecc class labels (see ``_FIELDS_EDGE``).
+    """Flat per-core-level kecc class labels (see ``_FIELDS``).
 
     Level ``k`` (1..core_kmax) occupies ``[(k-1)*n, k*n)``.  Each level-k
     core component up to ``cap`` nodes is partitioned into its
@@ -281,8 +266,7 @@ def _kecc_labels(
     a later executed ``kecc`` query reuses the entry); labels are numbered
     canonically — candidates in first-seen (min-member-index) order, classes
     within a candidate by min member index — which makes the numbering a
-    pure function of the graph content, the property the incremental repair
-    relies on to reuse labels bit-identically.
+    pure function of the graph content.
     """
     from ..baselines.kecc import _kecc_partition
 
@@ -328,9 +312,7 @@ def _assemble_index(
 
     ``core`` / ``edge_index`` / ``truss`` are the kernel outputs for
     ``frozen`` — :func:`build_index` derives them from scratch, the epoch
-    manager hands in the incrementally maintained ones, and the repair path
-    in :mod:`repro.graph.index_delta` goes through the same code so a
-    repaired index is bit-identical to a rebuilt one by construction.
+    manager hands in the ones it maintained while applying a delta.
     """
     if started is None:
         started = time.perf_counter()
@@ -361,39 +343,6 @@ def _assemble_index(
         truss_levels.append(_truss_level_components(csr, edge_id, truss, inc_max, k))
 
     kecc_label, kecc_counts = _kecc_labels(frozen, core_levels, KECC_APPROXIMATE_ABOVE)
-    return _finish_index(
-        frozen,
-        core_levels,
-        truss_levels,
-        fields={
-            "node_core": node_core,
-            "node_truss": node_truss,
-            "edge_eu": array(_FIELD_TYPECODE, edge_index.eu),
-            "edge_ev": array(_FIELD_TYPECODE, edge_index.ev),
-            "edge_truss": array(_FIELD_TYPECODE, truss),
-            "kecc_label": kecc_label,
-        },
-        kecc_counts=kecc_counts,
-        dataset=dataset,
-        started=started,
-    )
-
-
-def _finish_index(
-    frozen: FrozenGraph,
-    core_levels,
-    truss_levels,
-    *,
-    fields: dict[str, Any],
-    kecc_counts: list[int],
-    dataset: str,
-    started: float,
-) -> "CommunityIndex":
-    """Shared tail of build and repair: linearise, window, stamp the meta."""
-    from ..baselines.kecc import KECC_APPROXIMATE_ABOVE
-
-    csr = frozen.csr
-    n = len(csr.node_list)
     core_order, core_pos = _laminar_order(n, core_levels)
     core_ptr, core_start, core_end = _level_windows(core_pos, core_levels)
     truss_order, truss_pos = _laminar_order(n, truss_levels)
@@ -405,30 +354,30 @@ def _finish_index(
         "dataset": dataset,
         "nodes": n,
         "edges": csr.num_edges,
-        "core_kmax": len(core_levels) - 1,
-        "truss_kmax": len(truss_levels) if len(truss_levels) > 1 else 1,
+        "core_kmax": core_kmax,
+        "truss_kmax": truss_kmax,
         "core_counts": [len(level) for level in core_levels],
         "truss_counts": [len(level) for level in truss_levels],
         "kecc_cap": KECC_APPROXIMATE_ABOVE,
         "kecc_counts": list(kecc_counts),
         "build_seconds": time.perf_counter() - started,
     }
-    fields = dict(fields)
-    fields.update(
-        {
-            "core_order": core_order,
-            "core_pos": core_pos,
-            "core_ptr": core_ptr,
-            "core_start": core_start,
-            "core_end": core_end,
-            "truss_order": truss_order,
-            "truss_pos": truss_pos,
-            "truss_ptr": truss_ptr,
-            "truss_start": truss_start,
-            "truss_end": truss_end,
-        }
-    )
-    index = CommunityIndex(meta, list(csr.node_list), fields)
+    fields = {
+        "node_core": node_core,
+        "node_truss": node_truss,
+        "core_order": core_order,
+        "core_pos": core_pos,
+        "core_ptr": core_ptr,
+        "core_start": core_start,
+        "core_end": core_end,
+        "truss_order": truss_order,
+        "truss_pos": truss_pos,
+        "truss_ptr": truss_ptr,
+        "truss_start": truss_start,
+        "truss_end": truss_end,
+        "kecc_label": kecc_label,
+    }
+    index = CommunityIndex(meta, list(node_list), fields)
     index._index_of = csr.index_of
     return index
 
@@ -505,15 +454,6 @@ class CommunityIndex:
             self._index_of = {node: i for i, node in enumerate(self.node_list)}
         return self._index_of
 
-    @property
-    def format_version(self) -> int:
-        return self.meta.get("format_version", 1)
-
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        """The regions this index's format version carries."""
-        return _fields_for_version(self.format_version)
-
     def served_algorithms(self) -> tuple[str, ...]:
         """The algorithms this index serves at their default parameters."""
         return tuple(name for name in INDEX_ALGORITHMS if self.serves(name, {}))
@@ -564,10 +504,9 @@ class CommunityIndex:
             "truss_kmax": meta["truss_kmax"],
             "core_communities": {str(k): c for k, c in enumerate(meta["core_counts"])},
             "truss_communities": truss_counts,
-            # v2 edge hierarchy (None/{} on a v1 file: those regions are absent)
-            "kecc_cap": meta.get("kecc_cap"),
+            "kecc_cap": meta["kecc_cap"],
             "kecc_communities": {
-                str(k): c for k, c in enumerate(meta.get("kecc_counts", ()), start=1)
+                str(k): c for k, c in enumerate(meta["kecc_counts"], start=1)
             },
             "serves": list(self.served_algorithms()),
             "region_bytes": region_bytes,
@@ -585,9 +524,7 @@ class CommunityIndex:
         """
         from .shm import share_regions
 
-        fields = {
-            name: self._as_array(name) for name in self.field_names
-        }
+        fields = {name: self._as_array(name) for name in _FIELDS}
         payload = pickle.dumps(
             (self.meta, self.node_list), protocol=pickle.HIGHEST_PROTOCOL
         )
@@ -622,7 +559,7 @@ class CommunityIndex:
     def __reduce__(self):
         if self.attached:
             return (attach_index, (self._descriptor,))
-        fields = {name: self._as_array(name) for name in self.field_names}
+        fields = {name: self._as_array(name) for name in _FIELDS}
         return (_rebuild_index, (self.meta, self.node_list, fields))
 
     def __repr__(self) -> str:
@@ -639,9 +576,6 @@ class CommunityIndex:
         Conservative by design: anything but a plain-int ``k`` (or no
         params at all) falls back to the executed path, which also owns
         producing the errors for genuinely malformed parameters.
-        ``huang2015`` and ``kecc`` additionally need the v2 edge-hierarchy
-        regions, so a v1 file keeps serving kc/kt/hightruss while those two
-        fall through.
         """
         if algorithm in ("kc", "kt"):
             if not params:
@@ -650,13 +584,9 @@ class CommunityIndex:
                 return False
             k = params["k"]
             return isinstance(k, int) and not isinstance(k, bool)
-        if algorithm == "hightruss":
+        if algorithm in ("hightruss", "huang2015"):
             return not params
-        if algorithm == "huang2015":
-            return not params and self.format_version >= 2
         if algorithm == "kecc":
-            if self.format_version < 2:
-                return False
             from ..baselines.kecc import KECC_APPROXIMATE_ABOVE
 
             # the stored partitions bake in the approximation crossover;
@@ -983,7 +913,7 @@ def save_index(index: CommunityIndex, path: os.PathLike | str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 
-    fields = {name: index._as_array(name) for name in index.field_names}
+    fields = {name: index._as_array(name) for name in _FIELDS}
     payload = pickle.dumps((index.meta, index.node_list), protocol=pickle.HIGHEST_PROTOCOL)
 
     from .shm import _pad  # single source of truth for region alignment
@@ -1070,11 +1000,10 @@ def load_index(
         raise
     except Exception as exc:  # noqa: BLE001 - any parse failure is corruption
         raise corrupt(f"unreadable header: {exc}") from None
-    if version not in INDEX_COMPAT_VERSIONS:
-        supported = ", ".join(str(v) for v in INDEX_COMPAT_VERSIONS)
+    if version != INDEX_FORMAT_VERSION:
         raise GraphError(
             f"index file {str(path)!r} has format version {version!r} but this "
-            f"build reads versions {supported}; rebuild it with "
+            f"build reads version {INDEX_FORMAT_VERSION}; rebuild it with "
             f"'repro index build'"
         )
     blob_start = header_start + header_length
@@ -1092,7 +1021,7 @@ def load_index(
         meta, node_list = pickle.loads(
             data[blob_start + payload_offset : blob_start + payload_offset + payload_length]
         )
-        for name in _fields_for_version(version):
+        for name in _FIELDS:
             if name not in fields:
                 raise ValueError(f"region {name} missing")
     except Exception as exc:  # noqa: BLE001

@@ -117,9 +117,8 @@ class Histogram:
     def percentile(self, fraction: float) -> float:
         """Nearest-rank percentile, answered at bucket resolution.
 
-        Returns 0.0 for an empty histogram (mirroring
-        :func:`repro.serving.shard.latency_percentile` on an empty
-        sample); the overflow bucket answers with the exact max.
+        Returns 0.0 for an empty histogram; the overflow bucket answers
+        with the exact max.
         """
         if self.count == 0:
             return 0.0

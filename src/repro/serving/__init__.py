@@ -61,7 +61,7 @@ from .protocol import (
     result_payload,
 )
 from .server import QueryServer, ServerThread, run_server
-from .shard import Shard, latency_percentile
+from .shard import Shard
 
 __all__ = [
     "ServingEngine",
@@ -71,7 +71,6 @@ __all__ = [
     "ServerThread",
     "run_server",
     "Shard",
-    "latency_percentile",
     "Placement",
     "Replica",
     "ReplicaSet",

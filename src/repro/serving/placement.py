@@ -36,7 +36,6 @@ from ..obs.log import log_event
 from ..datasets import Dataset, load_dataset
 from ..dynamic import DeltaBatch, EpochManager
 from ..graph import (
-    INDEX_FORMAT_VERSION,
     INDEX_MODES,
     FrozenGraph,
     GraphError,
@@ -676,9 +675,7 @@ class Placement:
         never silently serve the slow path when the operator demanded the
         index.  ``epoch`` rides into :meth:`CommunityIndex.bind`, which
         formats every stale-digest error (in-process and wire alike) with
-        the current epoch and the rebuild command.  A loadable pre-v2 file
-        still serves its node hierarchies; the reason records that the
-        edge-hierarchy algorithms fall through to the executed path.
+        the current epoch and the rebuild command.
         """
         if self.index == "off":
             return None, None
@@ -702,11 +699,6 @@ class Placement:
             if getattr(exc, "reason", None) == "stale":
                 return None, "stale"
             return None, str(exc)
-        if index.format_version < INDEX_FORMAT_VERSION:
-            return index, (
-                f"format v{index.format_version}: edge hierarchy absent; "
-                "huang2015/kecc run on the executed path"
-            )
         return index, None
 
     def build_shard(self, dataset: Dataset, *, key: Optional[str] = None) -> Shard:
@@ -732,8 +724,8 @@ class Placement:
         )
         if manager is not None and index is not None:
             # the epoch manager maintains the index from now on: every
-            # prepared epoch carries a repaired (or rebuilt) successor, so
-            # mutations never stale the index tier
+            # prepared epoch carries a rebuilt successor, so mutations never
+            # stale the index tier
             manager.bind_index(index)
         replica_set = self._build_replica_set(
             dataset, frozen, key=key, index=index, index_reason=index_reason
@@ -804,8 +796,8 @@ class Placement:
         """Apply a delta batch to ``name`` and publish the next epoch.
 
         One mutation at a time per dataset (an asyncio lock): the epoch
-        manager prepares the new snapshot off the event loop — repairing
-        its bound community index along the way — the repaired index file
+        manager prepares the new snapshot off the event loop — rebuilding
+        its bound community index along the way — the new index file
         is republished atomically (tmp + rename) and a fresh replica set
         built on it, and only then is the shard swapped (workers re-attach
         the new index segment on swap).  Datasets that never had an index
@@ -829,10 +821,10 @@ class Placement:
             def _stage() -> ReplicaSet:
                 prepared.frozen.csr.adjacency_lists()
                 if prepared.index is not None:
-                    # the manager repaired (or rebuilt) the index off the
-                    # serving path; publish the file atomically alongside
-                    # the epoch so a restarted server finds it current, and
-                    # hand the in-memory object straight to the replicas
+                    # the manager rebuilt the index off the serving path;
+                    # publish the file atomically alongside the epoch so a
+                    # restarted server finds it current, and hand the
+                    # in-memory object straight to the replicas
                     save_index(prepared.index, index_path(name, self.index_dir))
                     index, index_reason = prepared.index, None
                 else:
@@ -868,8 +860,9 @@ class Placement:
             "nodes": prepared.frozen.number_of_nodes(),
             "edges": prepared.frozen.number_of_edges(),
         }
-        if prepared.index_mode is not None:
-            response["index"] = prepared.index_mode
+        if prepared.index is not None:
+            # constant since every epoch rebuilds its index; kept for clients
+            response["index"] = "rebuilt"
             response["index_seconds"] = round(prepared.index_seconds, 6)
         return response
 

@@ -145,10 +145,17 @@ class QueryRequest:
 
 
 def _parse_node(token: Any) -> Any:
-    """Normalise a JSON node id the way the CLI does: int when possible."""
+    """Normalise a JSON node id the way the CLI does: int when possible.
+
+    A JSON array is a tuple id (``[0, 0]`` -> ``(0, 0)``, normalised
+    element by element), so an answer's ``nodes`` can be sent back as a
+    query.
+    """
+    if isinstance(token, list):
+        return tuple(_parse_node(item) for item in token)
     if isinstance(token, bool) or not isinstance(token, (int, str)):
         raise ProtocolError(
-            "bad_request", f"query node {token!r} must be an integer or string"
+            "bad_request", f"query node {token!r} must be an integer, string or array"
         )
     if isinstance(token, str):
         try:
@@ -194,7 +201,10 @@ def parse_request(
         raise ProtocolError("bad_request", "request needs a non-empty 'nodes' list")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise ProtocolError("bad_request", "'nodes' must be a non-empty list")
-    nodes = tuple(_parse_node(token) for token in raw_nodes)
+    try:
+        nodes = tuple(_parse_node(token) for token in raw_nodes)
+    except RecursionError:
+        raise ProtocolError("bad_request", "query node ids nest too deeply") from None
 
     raw_params = payload.get("params", {})
     if not isinstance(raw_params, dict):
@@ -317,7 +327,7 @@ def decode_line(line: bytes) -> dict[str, Any]:
     """Decode one request line; raises ``bad_request`` on malformed input."""
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError("bad_request", f"malformed JSON request: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("bad_request", "request must be a JSON object")

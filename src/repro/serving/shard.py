@@ -40,7 +40,6 @@ down cleanly.
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from collections import OrderedDict
 from typing import Any, Optional
@@ -51,16 +50,7 @@ from ..obs.metrics import Histogram
 from .executor import Outcome
 from .protocol import ProtocolError, QueryRequest
 
-__all__ = ["Shard", "latency_percentile"]
-
-
-def latency_percentile(values, fraction: float) -> float:
-    """Nearest-rank percentile of ``values`` (0 for an empty sample)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(len(ordered) * fraction))
-    return ordered[min(len(ordered), rank) - 1]
+__all__ = ["Shard"]
 
 
 class Shard:

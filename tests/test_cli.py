@@ -180,16 +180,18 @@ class TestIndexInspectJson:
         ) == 0
         info = json.loads(capsys.readouterr().out)
         assert set(info) == self.EXPECTED_KEYS
-        assert info["format_version"] == 2
+        assert info["format_version"] == 3
         assert info["dataset"] == "karate"
         assert info["nodes"] == 34 and info["edges"] == 78
         assert info["index_file"].endswith("karate.idx")
         assert isinstance(info["digest"], str) and len(info["digest"]) == 64
         assert set(info["serves"]) == {"kc", "kt", "hightruss", "huang2015", "kecc"}
         assert info["kecc_cap"] == 400
-        # region table covers every v2 region, sizes are positive bytes
-        for region in ("node_core", "truss_order", "edge_truss", "kecc_label"):
+        # region table covers the node hierarchies and the kecc labels, sizes
+        # are positive bytes; format 3 stores no edge_* regions
+        for region in ("node_core", "truss_order", "kecc_label"):
             assert info["region_bytes"][region] > 0
+        assert not [name for name in info["region_bytes"] if name.startswith("edge_")]
         assert info["total_bytes"] == sum(info["region_bytes"].values())
         assert info["build_seconds"] >= 0.0
 

@@ -12,7 +12,7 @@ Four layers of coverage:
 * the serving tier — epoch-stamped responses, the ``mutate`` wire op,
   cache purging across snapshot swaps, ``min_epoch`` staleness bounds and
   the ``stale_epoch`` error code, plus the community index riding the
-  epoch lifecycle: mutations repair the bound index (bit-identically to a
+  epoch lifecycle: mutations rebuild the bound index (bit-identically to a
   fresh build, asserted per epoch on randomized edit scripts), ``require``
   mode keeps accepting writes, and both modes keep serving index answers
   after every swap;
@@ -24,6 +24,7 @@ Four layers of coverage:
 from __future__ import annotations
 
 import asyncio
+import functools
 import pickle
 import random
 
@@ -78,8 +79,14 @@ class TestDeltaBatch:
         assert DeltaBatch.from_wire(batch.to_wire()) == batch
 
     def test_wire_nodes_normalise_like_the_query_protocol(self):
-        batch = DeltaBatch.from_wire([["add_edge", "3", "alice"], ["add_node", "7"]])
-        assert batch.ops == (("add_edge", 3, "alice", 1.0), ("add_node", 7))
+        batch = DeltaBatch.from_wire(
+            [["add_edge", "3", "alice"], ["add_node", "7"], ["add_node", [0, ["1"]]]]
+        )
+        assert batch.ops == (
+            ("add_edge", 3, "alice", 1.0),
+            ("add_node", 7),
+            ("add_node", (0, (1,))),
+        )
 
     def test_tokens(self):
         batch = DeltaBatch.from_tokens(
@@ -113,6 +120,10 @@ class TestDeltaBatch:
             [["add_node", True]],
             [["remove_edge", 1, 2, 3]],
             [[]],
+            [["add_node", [0, True]]],
+            [["add_node", {"a": 1}]],
+            # a node id nested past the interpreter's recursion limit
+            [["add_node", functools.reduce(lambda inner, _: [inner], range(5000), 0)]],
         ],
     )
     def test_malformed_wire_ops_raise_value_error(self, ops):
@@ -233,8 +244,8 @@ class TestEpochManagerParity:
     def test_randomized_edit_scripts_repair_the_index_bit_identically(
         self, source, seed, karate, figure1, small_er_graph, two_triangles_bridge
     ):
-        """Every epoch's repaired index equals a from-scratch build — regions,
-        meta and digest — and its answers equal the executed path's."""
+        """Every epoch's index equals a from-scratch build — regions, meta
+        and digest — and its answers equal the executed path's."""
         graph = {
             "karate": karate.graph,
             "figure1": figure1.graph,
@@ -250,19 +261,18 @@ class TestEpochManagerParity:
             batch = random_batch(rng, mirror, next_node)
             if not batch:
                 continue
-            prepared = manager.apply(batch)
-            assert prepared.index_mode == "repaired"
-            repaired = manager.index
+            manager.apply(batch)
+            maintained = manager.index
             fresh = build_index(freeze(mirror), dataset=source)
             # bit-identity: same digest, same meta, same bytes in every region
-            assert repaired.meta["digest"] == fresh.meta["digest"]
-            assert repaired.field_names == fresh.field_names
+            assert maintained.meta["digest"] == fresh.meta["digest"]
+            assert set(maintained._fields) == set(fresh._fields)
             for key, value in fresh.meta.items():
                 if key != "build_seconds":
-                    assert repaired.meta[key] == value, key
-            for name in fresh.field_names:
-                assert bytes(repaired._fields[name]) == bytes(fresh._fields[name]), name
-            assert repaired.node_list == fresh.node_list
+                    assert maintained.meta[key] == value, key
+            for name in fresh._fields:
+                assert bytes(maintained._fields[name]) == bytes(fresh._fields[name]), name
+            assert maintained.node_list == fresh.node_list
             # indexed answers match the executed path byte-for-byte
             reference = freeze(mirror)
             for node in sorted(mirror.nodes(), key=repr)[:2]:
@@ -272,14 +282,14 @@ class TestEpochManagerParity:
                     ("hightruss", {}),
                     ("huang2015", {}),
                 ):
-                    got = repaired.search(
+                    got = maintained.search(
                         algorithm, [node], graph=manager.frozen, **params
                     )
                     expected = run_algorithm(algorithm, reference, [node], **params)
                     assert got.nodes == expected.nodes
                     assert got.score == expected.score
                     assert got.extra == expected.extra
-        assert manager.describe()["index_repairs"] >= 1
+        assert manager.describe()["index_rebuilds"] == manager.epoch
 
     def test_refreeze_path_matches_fresh_freeze(self, karate):
         manager = EpochManager(karate.graph.copy(), threshold=0)  # always refreeze
@@ -299,14 +309,13 @@ class TestEpochManagerParity:
         manager.bind_index(build_index(manager.frozen, dataset="karate"))
         prepared = manager.apply(DeltaBatch().add_node(100).add_node(101))
         assert prepared.mode == "refreeze"
-        assert prepared.index_mode == "rebuilt"
         fresh = build_index(manager.frozen, dataset="karate")
         assert manager.index.meta["digest"] == fresh.meta["digest"]
-        for name in fresh.field_names:
+        for name in fresh._fields:
             assert bytes(manager.index._fields[name]) == bytes(fresh._fields[name])
         describe = manager.describe()
         assert describe["index_bound"] is True
-        assert describe["index_rebuilds"] == 1 and describe["index_repairs"] == 0
+        assert describe["index_rebuilds"] == 1
 
     def test_threshold_selects_the_mode(self, karate):
         manager = EpochManager(karate.graph.copy(), threshold=2)
@@ -588,22 +597,22 @@ class TestIndexUnderEpochs:
         before, applied, response, after = run(scenario())
         # epoch 0 is exactly what the index was built for
         assert before["shards"]["karate"]["index"]["effective"] == "indexed"
-        # the mutation repaired the index in memory and republished it
+        # the mutation rebuilt the index off the serving path and
+        # republished it
         assert applied["ok"] and applied["epoch"] == 1
-        assert applied["index"] == "repaired"
+        assert applied["index"] == "rebuilt"
         assert applied["index_seconds"] >= 0.0
         index_stats = after["shards"]["karate"]["index"]
         assert index_stats["effective"] == "indexed"
         assert "reason" not in index_stats
-        # the post-mutation query was answered FROM the repaired index...
+        # the post-mutation query was answered FROM the rebuilt index...
         assert response["ok"] and response["epoch"] == 1
         assert index_stats["hits"] >= 1
         # ...with the executed path's exact answer on the *new* graph
         mirror.add_edge(u, v)
         reference = run_algorithm("kt", mirror, [0], k=4)
         assert response["nodes"] == sorted(reference.nodes, key=repr)
-        assert after["shards"]["karate"]["epoch"]["index_repairs"] == 1
-        assert after["shards"]["karate"]["epoch"]["index_rebuilds"] == 0
+        assert after["shards"]["karate"]["epoch"]["index_rebuilds"] == 1
         # the republished file binds cleanly against the mutated graph
         reloaded = load_index(index_path("karate", tmp_path), freeze(mirror))
         assert reloaded.meta["edges"] == mirror.number_of_edges()
@@ -624,9 +633,9 @@ class TestIndexUnderEpochs:
 
         applied, served, stats = run(scenario())
         # a require-mode server no longer refuses writes: the prepared epoch
-        # carries the repaired index, so there is never a moment without one
+        # carries the rebuilt index, so there is never a moment without one
         assert applied["ok"] and applied["epoch"] == 1
-        assert applied["index"] == "repaired"
+        assert applied["index"] == "rebuilt"
         assert served["ok"] and served["epoch"] == 1
         index_stats = stats["shards"]["karate"]["index"]
         assert index_stats["effective"] == "indexed"

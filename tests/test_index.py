@@ -10,8 +10,7 @@ Four concerns, mirroring the index's lifecycle:
 * **serialisation** — the versioned on-disk format round-trips, missing
   / truncated / corrupt / stale files surface structured
   :class:`GraphError`\\ s (a mutated dataset invalidates its index), and
-  v1 files — no edge-hierarchy regions — still load and serve the node
-  hierarchy while ``huang2015`` / ``kecc`` fall through;
+  files of any other format version are rejected with a rebuild hint;
 * **zero-copy sharing** — the flat arrays travel through one shared
   segment, attached copies answer identically, pickling an attached
   index re-attaches instead of copying, and nothing leaks;
@@ -99,24 +98,6 @@ def assert_same_answer(index, baseline_graph, algorithm, queries, **params):
     assert got_error == expected_error, (algorithm, queries, params)
 
 
-def downgrade_to_v1(index):
-    """A v1-shaped copy of a v2 index: node-hierarchy regions only.
-
-    This is exactly what a file written by the previous release contains,
-    so saving it exercises the forward-compat read path for real.
-    """
-    from repro.graph.index import _FIELDS_V1, CommunityIndex
-
-    meta = {
-        key: value
-        for key, value in index.meta.items()
-        if key not in ("kecc_cap", "kecc_counts")
-    }
-    meta["format_version"] = 1
-    fields = {name: index._fields[name] for name in _FIELDS_V1}
-    return CommunityIndex(meta, list(index.node_list), fields)
-
-
 class TestQueryParity:
     @pytest.mark.parametrize(
         "name", ["figure1", "karate", "dolphin", "mexican", "ring-of-cliques"]
@@ -138,7 +119,7 @@ class TestQueryParity:
             assert_same_answer(index, dataset.graph, "kc", list(pair), k=2)
             assert_same_answer(index, dataset.graph, "kt", list(pair), k=3)
             assert_same_answer(index, dataset.graph, "hightruss", list(pair))
-        # the v2 edge hierarchy: huang2015 and kecc against a frozen
+        # huang2015 and kecc against a frozen
         # baseline (the executed kecc path memoises its partitions there,
         # which keeps the repeated queries honest *and* fast)
         frozen = freeze(dataset.graph)
@@ -192,8 +173,8 @@ class TestQueryParity:
         assert not index.serves("kc", {"k": True})  # bool is not a level
         assert not index.serves("kt", {"k": 4, "extra": 1})
         assert not index.serves("hightruss", {"k": 2})
-        # the v2 edge hierarchy widens the served set...
-        assert index.format_version == 2
+        # huang2015 and kecc are served at their defaults...
+        assert index.meta["format_version"] == 3
         assert index.serves("huang2015", {})
         assert index.serves("kecc", {})
         assert index.serves("kecc", {"k": 2})
@@ -219,38 +200,20 @@ class TestSerialisation:
                 assert_same_answer(loaded, karate_graph, algorithm, [node])
         assert loaded.describe()["digest"] == dataset_digest(freeze(karate_graph))
 
-    def test_v1_files_still_load_and_serve_the_node_hierarchy(
-        self, karate_graph, tmp_path
-    ):
-        """Forward compat: a file from the previous release (format v1, no
-        edge-hierarchy regions) keeps its kc/kt/hightruss fast path while
-        huang2015/kecc fall through to the executed path."""
-        path = index_path("karate", tmp_path)
-        save_index(downgrade_to_v1(build_index(karate_graph, dataset="karate")), path)
-        loaded = load_index(path, freeze(karate_graph))
-        assert loaded.format_version == 1
-        assert "edge_truss" not in loaded.field_names
-        assert "kecc_label" not in loaded._fields
-        for algorithm in ("kc", "kt", "hightruss"):
-            assert loaded.serves(algorithm, {})
-            assert_same_answer(loaded, karate_graph, algorithm, [0, 33])
-        assert not loaded.serves("huang2015", {})
-        assert not loaded.serves("kecc", {})
-        assert set(loaded.served_algorithms()) == {"kc", "kt", "hightruss"}
-        described = loaded.describe()
-        assert described["format_version"] == 1
-        assert described["kecc_cap"] is None
-        assert described["kecc_communities"] == {}
-
     def test_future_format_versions_are_rejected_with_rebuild_hint(
         self, karate_graph, tmp_path
     ):
+        """Files of older formats (v1, v2) and unknown future ones alike."""
         index = build_index(karate_graph, dataset="karate")
-        index.meta["format_version"] = 99
         path = index_path("karate", tmp_path)
-        save_index(index, path)
-        with pytest.raises(GraphError, match="reads versions 1, 2"):
-            load_index(path)
+        for version in (1, 2, 99):
+            index.meta["format_version"] = version
+            save_index(index, path)
+            with pytest.raises(GraphError) as excinfo:
+                load_index(path)
+            message = str(excinfo.value)
+            assert f"format version {version} but this build reads version 3" in message
+            assert "rebuild it with 'repro index build'" in message
 
     def test_missing_file_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -328,7 +291,7 @@ class TestServingIntegration:
         ("kt", [0, 33], {}),
         ("hightruss", [11], {}),
         ("kc", [0], {"k": 99}),  # no community at this k
-        ("huang2015", [0, 33], {}),  # v2 edge hierarchy
+        ("huang2015", [0, 33], {}),
         ("kecc", [0], {}),
     )
 
@@ -374,25 +337,6 @@ class TestServingIntegration:
         shard = stats["shards"]["karate"]["index"]
         assert shard["effective"] == "executed"
         assert "no index file" in shard["reason"]
-
-    def test_v1_file_serves_with_a_degradation_reason(self, tmp_path):
-        """A pre-v2 file still backs the shard, and the stats say exactly
-        which part of the tier is degraded (and why)."""
-        save_index(
-            downgrade_to_v1(build_index(load_dataset("karate").graph, dataset="karate")),
-            index_path("karate", tmp_path),
-        )
-        executed, _ = self._serve(tmp_path, index="off")
-        indexed, stats = self._serve(tmp_path, index="auto")
-        assert executed == indexed  # huang2015/kecc fell through, bit-identically
-        shard = stats["shards"]["karate"]["index"]
-        assert shard["effective"] == "indexed"
-        assert "format v1" in shard["reason"]
-        assert "edge hierarchy absent" in shard["reason"]
-        assert set(shard["algorithms"]) == {"kc", "kt", "hightruss"}
-        # only the node-hierarchy queries hit the index; the last two
-        # ALGORITHMS entries (huang2015, kecc) executed
-        assert shard["hits"] == len(self.ALGORITHMS) - 2
 
     def test_require_without_index_is_structured(self, tmp_path):
         async def scenario():
@@ -506,7 +450,7 @@ class TestServingIntegration:
         self, tmp_path, karate_graph
     ):
         """Mutation between swap and crash: the respawned worker must map
-        the *repaired* index segment, not the one it was born with."""
+        the epoch's *rebuilt* index segment, not the one it was born with."""
         self._build(tmp_path, "karate")
         mutated = karate_graph.copy()
         u, v = next(
@@ -530,7 +474,7 @@ class TestServingIntegration:
                 applied = await engine.handle(
                     {"op": "mutate", "dataset": "karate", "ops": [["add_edge", u, v]]}
                 )
-                # the swap published the repaired index in a fresh segment;
+                # the swap published the rebuilt index in a fresh segment;
                 # crash the post-swap worker so the respawn re-attaches it
                 executor = engine.shards["karate"].replica_set.replicas[0].executor
                 executor._proc.kill()
@@ -541,17 +485,17 @@ class TestServingIntegration:
         before = live_segment_names()
         first, applied, second, describe, stats = run(scenario())
         assert applied["ok"] and applied["epoch"] == 1
-        assert applied["index"] == "repaired"
+        assert applied["index"] == "rebuilt"
         assert describe["restarts"] == 1
         assert describe["index"] == "attached"
         assert observable(first) == observable(
             ktruss_community(karate_graph, [0, 33], k=4)
         )
-        # answered from the repaired index, bit-identical to the executed
+        # answered from the rebuilt index, bit-identical to the executed
         # path on the *mutated* graph
         assert observable(second) == observable(ktruss_community(mutated, [1, 2], k=4))
         assert stats["shards"]["karate"]["index"]["hits"] == 1  # post-swap counter
-        assert stats["shards"]["karate"]["epoch"]["index_repairs"] == 1
+        assert stats["shards"]["karate"]["epoch"]["index_rebuilds"] == 1
         assert live_segment_names() == before
 
 
@@ -561,7 +505,7 @@ class TestIndexCLI:
         assert "karate.idx" in capsys.readouterr().out
         assert main(["index", "inspect", "karate", "--index-dir", str(tmp_path)]) == 0
         output = capsys.readouterr().out
-        assert "format version:  2" in output
+        assert "format version:  3" in output
         assert "content digest:" in output
         assert "core communities:" in output
         assert "truss communities:" in output

@@ -12,9 +12,8 @@ Covers the three planes end to end:
   histograms, never re-sorted raw samples.
 
 Also pins the satellite contracts: ``stats`` stays byte-compatible when
-tracing is off, ``latency_percentile`` survives for callers, and the
-shed retry-after derivation matches the histogram within bucket
-resolution.
+tracing is off, and the shed retry-after derivation matches the histogram
+within bucket resolution.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.obs import (
     make_span,
 )
 from repro.serving import ProtocolError, ServingEngine
-from repro.serving.shard import latency_percentile
 
 
 def run(coro):
@@ -396,6 +394,25 @@ class TestMutationTrace:
         assert by_name["epoch.prepare"]["tags"]["epoch"] == response["epoch"]
         assert by_name["epoch.commit"]["tags"]["epoch"] == response["epoch"]
 
+    def test_prepare_with_a_bound_index_spans_the_rebuild(self, karate_graph):
+        from repro.dynamic import DeltaBatch, EpochManager
+        from repro.graph import build_index
+
+        tracer = Tracer(sample=1.0)
+        manager = EpochManager(karate_graph.copy())
+        manager.tracer = tracer
+        manager.bind_index(build_index(manager.frozen, dataset="karate"))
+        trace = tracer.sample_request()
+        prepared = manager.prepare(DeltaBatch().add_edge(0, 9), trace)
+        by_name = _span_index(tracer.spans(trace.trace_id))
+        assert set(by_name) == {"epoch.prepare", "epoch.index"}
+        index_span = by_name["epoch.index"]
+        assert index_span["parent"] == trace.span_id
+        prepare_span = by_name["epoch.prepare"]
+        assert prepare_span["start"] <= index_span["start"] <= index_span["end"]
+        assert index_span["end"] <= prepare_span["end"]
+        assert prepared.index is not None and prepared.index_seconds > 0.0
+
 
 class TestUnsampledIsFree:
     def test_no_trace_artifacts_when_sampling_off(self):
@@ -422,11 +439,6 @@ class TestUnsampledIsFree:
 
 
 class TestPercentileHotSpots:
-    def test_latency_percentile_still_works(self):
-        assert latency_percentile([], 0.5) == 0.0
-        assert latency_percentile([3.0, 1.0, 2.0], 0.5) == 2.0
-        assert latency_percentile([3.0, 1.0, 2.0], 1.0) == 3.0
-
     def test_retry_after_matches_histogram_p50(self):
         async def scenario():
             async with ServingEngine(datasets=["karate"]) as engine:

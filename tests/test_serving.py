@@ -13,7 +13,6 @@ import pytest
 
 from repro.experiments.registry import run_algorithm
 from repro.serving import ProtocolError, ServingEngine, parse_request
-from repro.serving.shard import latency_percentile
 
 
 def run(coro):
@@ -35,6 +34,12 @@ class TestParseRequest:
     def test_string_nodes_normalise_like_the_cli(self):
         request = parse_request({"dataset": "d", "algorithm": "a", "nodes": ["3", "alice"]})
         assert request.nodes == (3, "alice")
+
+    def test_array_nodes_are_tuple_ids_normalised_recursively(self):
+        request = parse_request(
+            {"dataset": "d", "algorithm": "a", "nodes": [[0, 0], [1, ["2", "x"]], 5]}
+        )
+        assert request.nodes == ((0, 0), (1, (2, "x")), 5)
 
     def test_params_sorted_into_cache_key(self):
         one = parse_request(
@@ -60,6 +65,11 @@ class TestParseRequest:
                 {"dataset": "karate", "algorithm": "kt", "nodes": [0], "params": {"k": [4]}},
                 "bad_request",
             ),
+            ({"dataset": "karate", "algorithm": "kt", "nodes": [True]}, "bad_request"),
+            ({"dataset": "karate", "algorithm": "kt", "nodes": [{"a": 1}]}, "bad_request"),
+            ({"dataset": "karate", "algorithm": "kt", "nodes": [[0, True]]}, "bad_request"),
+            ({"dataset": "karate", "algorithm": "kt", "nodes": [[0, 0.5]]}, "bad_request"),
+            ({"dataset": "karate", "algorithm": "kt", "nodes": [[[{}]]]}, "bad_request"),
         ],
     )
     def test_malformed_requests(self, payload, code):
@@ -409,13 +419,6 @@ class TestWorkerPool:
 
 
 class TestStats:
-    def test_latency_percentile(self):
-        assert latency_percentile([], 0.5) == 0.0
-        assert latency_percentile([3.0], 0.95) == 3.0
-        values = list(range(1, 101))
-        assert latency_percentile(values, 0.50) == 50
-        assert latency_percentile(values, 0.95) == 95
-
     def test_stats_payload_is_json_serialisable(self):
         import json
 

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.datasets import load_dataset
 from repro.experiments.registry import run_algorithm
 from repro.serving import ServerThread, ServingClient
 
@@ -84,6 +85,45 @@ class TestProtocolOverTcp:
         dolphin = stats["shards"]["dolphin"]
         assert dolphin["queries"] >= 1
         assert "latency_ms" in dolphin and "p95" in dolphin["latency_ms"]
+
+
+class TestTupleNodeIds:
+    def test_ring_of_cliques_answers_tuple_ids_sent_as_arrays(self):
+        """``ring-of-cliques`` names its nodes ``(clique, member)``: a JSON
+        array is a tuple id, and an answer's nodes can be sent back."""
+        with ServerThread(datasets=["ring-of-cliques"]) as handle:
+            with ServingClient(handle.host, handle.port) as connection:
+                response = connection.request(
+                    {
+                        "op": "query",
+                        "dataset": "ring-of-cliques",
+                        "algorithm": "NCA",
+                        "nodes": [[0, 0]],
+                    }
+                )
+                assert response["ok"] and not response["failed"]
+                graph = load_dataset("ring-of-cliques").graph
+                reference = run_algorithm("NCA", graph, [(0, 0)])
+                expected = [list(node) for node in sorted(reference.nodes, key=repr)]
+                assert response["query"] == [[0, 0]]
+                assert response["nodes"] == expected
+                assert response["score"] == reference.score
+                # an answer's node ids round-trip as the next query
+                again = connection.query(
+                    "ring-of-cliques", "kc", response["nodes"][-1:], k=2
+                )
+                assert again["ok"] and not again["failed"]
+                assert response["nodes"][-1] in again["nodes"]
+
+    def test_deeply_nested_arrays_are_bad_request(self, client):
+        # 600 levels decode as JSON but overflow the node-id normaliser;
+        # 5000 overflow the JSON decoder itself
+        for depth in (600, 5000):
+            nodes = "[" * depth + "0" + "]" * depth
+            line = '{"dataset": "karate", "algorithm": "kc", "nodes": [%s]}' % nodes
+            response = client.send_raw(line.encode())
+            assert not response["ok"] and response["error"]["code"] == "bad_request"
+        assert client.ping()["ok"]
 
 
 class TestConcurrentClients:
