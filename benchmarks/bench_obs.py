@@ -75,7 +75,7 @@ def run_tracing_phase(check, executor: str | None, log_path: str) -> None:
                 check(f"{label}: admission saw a miss",
                       by_name["shard.admit"]["tags"].get("disposition") == "miss")
                 execute_pid = by_name["execute"]["tags"].get("pid")
-                if executor in ("pool", "process"):
+                if executor == "process":
                     check(f"{label}: execute span crossed the process boundary",
                           execute_pid not in (None, server.proc.pid))
                 else:
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
         "--executors",
         nargs="+",
         default=["inline", "process"],
-        choices=["inline", "pool", "process"],
+        choices=["inline", "process"],
         help="executor strategies to run the tracing phase against",
     )
     parser.add_argument(

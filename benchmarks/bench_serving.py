@@ -177,7 +177,6 @@ class ServerProcess(WireProcess):
         executor: str | None = None,
         max_queue: int = 0,
         routing: str | None = None,
-        workers: int | None = None,
         snapshot: str | None = None,
         index: str | None = None,
         index_dir: str | None = None,
@@ -208,8 +207,6 @@ class ServerProcess(WireProcess):
             command += ["--max-queue", str(max_queue)]
         if routing:
             command += ["--routing", routing]
-        if workers:
-            command += ["--workers", str(workers)]
         if snapshot:
             command += ["--snapshot", snapshot]
         if index:
@@ -1161,12 +1158,12 @@ def run_parity(scale: float, server_config: dict, json_path: str | None = None) 
             check("stats-placement", "placement" in stats)
             # the snapshot mode workers actually run with: 'private' must be
             # honoured verbatim; 'shared' (the default) must be *effective*
-            # for process/pool executors wherever shared memory exists —
+            # for the process executor wherever shared memory exists —
             # a silent fallback here would void the zero-copy story CI gates
             requested_snapshot = server_config.get("snapshot") or "shared"
             expect_shared = (
                 requested_snapshot == "shared"
-                and server_config.get("executor") in ("pool", "process")
+                and server_config.get("executor") == "process"
                 and shared_memory_available()
             )
             for name in SMALL_DATASETS:
@@ -1495,7 +1492,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--executor",
-        choices=["inline", "pool", "process"],
+        choices=["inline", "process"],
         default=None,
         help="forwarded to `repro serve --executor`",
     )

@@ -75,7 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--edge-list", help="path to a whitespace edge list", default=None)
     search.add_argument("--algorithm", default="FPA", help="algorithm name (default FPA)")
     search.add_argument(
-        "--query", nargs="+", required=True, help="query node id(s); parsed as int when possible"
+        "--query",
+        nargs="+",
+        required=True,
+        help="query node id(s); parsed as int when possible, and a JSON "
+        "array such as '[0, 0]' names a tuple node",
     )
     search.add_argument("--k", type=int, default=None, help="k for the parameterised baselines")
 
@@ -117,11 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor",
-        choices=["inline", "pool", "process"],
-        default=None,
-        help="execution strategy per replica: 'inline' (thread, the default), "
-        "'pool' (shared process pool, see --workers), or 'process' (one "
-        "dedicated worker process per replica, each freezing its own snapshot)",
+        choices=["inline", "process"],
+        default="inline",
+        help="execution strategy per replica: 'inline' (a thread on the "
+        "shared snapshot, the default) or 'process' (one dedicated worker "
+        "process per replica)",
     )
     serve.add_argument(
         "--replicas",
@@ -135,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot",
         choices=["shared", "private"],
         default="shared",
-        help="how process/pool workers get the frozen snapshot: 'shared' "
+        help="how process workers get the frozen snapshot: 'shared' "
         "(default) exports it once into named shared memory and workers "
         "attach zero-copy, falling back to 'private' where shared memory "
         "is unavailable; 'private' ships each worker its own copy",
@@ -152,13 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["least-loaded", "round-robin"],
         default="least-loaded",
         help="replica routing policy (default least-loaded by queue depth)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="size of the shared process pool (implies --executor pool; "
-        "--executor pool without --workers defaults to 2)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1024, help="LRU result-cache entries per shard"
@@ -365,10 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_node(token: str):
+    """A ``--query`` token as a node id, by the wire protocol's rules.
+
+    A token starting with ``[`` is JSON: a tuple id (``"[0, 0]"`` ->
+    ``(0, 0)``).  Any other token is an int when possible, else a string.
+    """
+    from .serving.protocol import ProtocolError, _parse_node as parse_wire_node
+
+    if not token.startswith("["):
+        return parse_wire_node(token)
     try:
-        return int(token)
-    except ValueError:
-        return token
+        return parse_wire_node(json.loads(token))
+    except (ValueError, RecursionError, ProtocolError) as exc:
+        raise ValueError(f"--query {token!r} is not a node id: {exc}") from None
 
 
 def _load_graph(args) -> tuple[object, Optional[Dataset]]:
@@ -452,8 +458,6 @@ def _command_evaluate(args) -> int:
 def _command_serve(args) -> int:
     from .serving import ServingEngine, parse_replica_spec, run_server
 
-    if args.workers is not None and args.workers < 1:
-        raise ValueError("--workers must be a positive integer")
     if args.max_queue < 0:
         raise ValueError("--max-queue must be >= 0 (0 disables the bound)")
     if not 0.0 <= args.trace_sample <= 1.0:
@@ -464,10 +468,6 @@ def _command_serve(args) -> int:
         from .obs import configure_json_logging
 
         configure_json_logging(args.log_json)
-    if args.workers is not None and args.executor not in (None, "pool"):
-        # a flag-shaped message here; the engine/placement guard the same
-        # combination for API users (and own the executor defaulting)
-        raise ValueError("--workers only applies to --executor pool")
     if args.advertise is not None and args.join is None:
         raise ValueError("--advertise only applies with --join")
     replicas, replica_overrides = parse_replica_spec(args.replicas, set(list_datasets()))
@@ -476,7 +476,6 @@ def _command_serve(args) -> int:
         cache_size=args.cache_size,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
-        workers=args.workers,
         executor=args.executor,
         replicas=replicas,
         replica_overrides=replica_overrides,

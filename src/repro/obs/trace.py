@@ -65,7 +65,7 @@ def make_span(
 ) -> dict[str, Any]:
     """Build a span dict *without* recording it anywhere.
 
-    This is what runs inside pool/process workers, which have no tracer:
+    This is what runs inside process workers, which have no tracer:
     they build the span locally and ship it back with the batch reply
     for the parent to fold in via :meth:`Tracer.add`.  By default the
     span becomes a child of ``context.span_id``; pass ``parent``
@@ -169,7 +169,7 @@ class Tracer:
         return span
 
     def add(self, span: dict[str, Any]) -> None:
-        """Fold in a span produced elsewhere (a pool or process worker)."""
+        """Fold in a span produced elsewhere (a process worker)."""
         with self._lock:
             self._ring.append(span)
 

@@ -4,8 +4,8 @@ The serving subsystem turns the offline batched engine into a persistent
 multi-user service, structured in four layers:
 
 * **executors** (:mod:`~repro.serving.executor`) — where batches run:
-  inline threads, a shared process pool, or a dedicated spawn-safe worker
-  process per replica (each freezing its own snapshot);
+  inline threads on the shared snapshot, or a dedicated spawn-safe worker
+  process per replica;
 * **placement** (:mod:`~repro.serving.placement`) — each dataset maps to a
   replica set with a routing policy (least-loaded / round-robin), replacing
   the flat shard dict;
@@ -38,7 +38,6 @@ from .engine import ServingEngine
 from .executor import (
     EXECUTOR_KINDS,
     InlineExecutor,
-    PoolExecutor,
     WorkerProcessExecutor,
 )
 from .placement import (
@@ -80,7 +79,6 @@ __all__ = [
     "SNAPSHOT_MODES",
     "EXECUTOR_KINDS",
     "InlineExecutor",
-    "PoolExecutor",
     "WorkerProcessExecutor",
     "parse_replica_spec",
     "QueryRequest",

@@ -4,7 +4,7 @@
 and examples use directly.  Since PR 4 it no longer owns a flat shard
 dict: a :class:`~repro.serving.placement.Placement` maps each dataset to a
 replicated shard (``replicas`` / ``replica_overrides``), chooses the
-execution strategy (``executor`` ∈ inline / pool / process), routes
+execution strategy (``executor`` ∈ inline / process), routes
 admitted requests to replicas (``routing`` ∈ least-loaded / round-robin)
 and bounds the per-shard queues (``max_queue``; shed requests come back as
 structured ``overloaded`` errors carrying ``retry_after_ms``).
@@ -64,8 +64,7 @@ class ServingEngine:
         cache_size: int = 1024,
         max_batch: int = 64,
         max_queue: int = 0,
-        workers: Optional[int] = None,
-        executor: Optional[str] = None,
+        executor: str = "inline",
         replicas: int = 1,
         replica_overrides: Optional[dict[str, int]] = None,
         routing: str = "least-loaded",
@@ -88,9 +87,6 @@ class ServingEngine:
                     f"{', '.join(sorted(self._known_datasets))}"
                 )
         self._preload = preload
-        if executor is None:
-            # PR 3 compatibility: ``workers=N`` alone meant "process pool"
-            executor = "pool" if workers is not None else "inline"
         # one telemetry bundle per engine: the tracer samples at the front
         # door, the registry folds worker metric deltas, and both ride down
         # through placement into shards, replicas and executors
@@ -107,7 +103,6 @@ class ServingEngine:
             replicas=replicas,
             replica_overrides=replica_overrides,
             executor=executor,
-            workers=workers,
             routing=routing,
             snapshot=snapshot,
             index=index,

@@ -1,40 +1,30 @@
 """Pluggable batch executors: *where* a replica's micro-batches run.
 
-PR 3's :class:`~repro.serving.shard.Shard` hard-wired execution (a thread,
-or an optional process pool) into the shard itself.  This module tears the
-execution concern out into a small closed family of executors so the
-placement layer can replicate a dataset across independent execution
-contexts:
+The :class:`~repro.serving.shard.Shard` does not execute anything itself;
+each of its replicas hands micro-batches to one of two executors:
 
 * :class:`InlineExecutor` — runs each batch on the default thread-pool
   against the shard's **shared** frozen snapshot.  Zero setup cost, one
-  memo cache; today's default.  Replicas of an inline shard overlap I/O
-  and queueing but share the GIL for compute, and a *cold* burst spread
-  across several inline replicas can compute the same query-independent
-  decomposition more than once before the first write lands in the
-  (idempotent, last-write-wins) memo cache — correctness is unaffected,
-  but single-flight memoisation is an open ROADMAP item.  Replication
-  pays off here mainly through queueing isolation; use ``process``
-  replicas for CPU scale-out.
-* :class:`PoolExecutor` — submits batch items to a **shared**
-  ``ProcessPoolExecutor`` (one pool per shard, created by the replica set;
-  the frozen dataset is shipped once per pool worker via the initializer).
-  PR 3's ``--workers N`` path, now one strategy among three.
+  memo cache; the default.  Replicas of an inline shard overlap I/O and
+  queueing but share the GIL for compute; the memo cache is single-flight
+  (:meth:`~repro.graph.csr.SharedCache.memo`), so a cold burst spread
+  across several inline replicas still derives each query-independent
+  decomposition once.  Replication pays off here mainly through queueing
+  isolation; use ``process`` replicas for CPU scale-out.
 * :class:`WorkerProcessExecutor` — owns a **dedicated spawn-safe worker
   process per replica**.  With a shared-snapshot descriptor the child
   **attaches** the host's exported CSR arrays zero-copy
   (:mod:`repro.graph.shm`): N replicas read literally the same bytes and
   only the tiny descriptor crosses the pipe.  Without one (or where
-  shared memory is unavailable) the child falls back to PR 4 behaviour —
-  it loads the shipped mutable dataset and freezes **its own** snapshot.
-  Either way each replica has a private memo cache and hot datasets
-  scale past the GIL: two process replicas really do peel two truss
-  decompositions concurrently.  A crashed worker is respawned on the
-  next batch; the batch that observed the crash fails with a structured
-  ``internal_error``.
+  shared memory is unavailable) the child loads the shipped mutable
+  dataset and freezes **its own** snapshot.  Either way each replica has
+  a private memo cache and hot datasets scale past the GIL: two process
+  replicas really do peel two truss decompositions concurrently.  A
+  crashed worker is respawned on the next batch; the batch that observed
+  the crash fails with a structured ``internal_error``.
 
-Every executor exposes the same tiny surface — ``start``, ``run_batch``,
-``close``, ``describe`` — and maps execution failures to the closed
+Both executors expose the same tiny surface — ``start``, ``run_batch``,
+``close``, ``describe`` — and map execution failures to the closed
 :class:`~repro.serving.protocol.ProtocolError` code set, so replicas and
 shards never see a raw traceback.
 """
@@ -61,14 +51,13 @@ __all__ = [
     "EXECUTOR_KINDS",
     "Outcome",
     "InlineExecutor",
-    "PoolExecutor",
     "WorkerProcessExecutor",
     "execute_one",
     "execute_traced",
 ]
 
 #: The closed set of executor strategies ``--executor`` accepts.
-EXECUTOR_KINDS = ("inline", "pool", "process")
+EXECUTOR_KINDS = ("inline", "process")
 
 Outcome = Union["ProtocolError", Any]  # CommunityResult or a structured error
 
@@ -199,183 +188,6 @@ class InlineExecutor:
     def describe(self) -> dict[str, Any]:
         info: dict[str, Any] = {"kind": self.kind}
         if self._index is not None:
-            info["index_hits"] = self.index_hits
-        return info
-
-
-# ----------------------------------------------------------------------------
-# pool: batch items fan out over a shared per-shard process pool
-# ----------------------------------------------------------------------------
-
-_POOL_DATASET: Optional[Dataset] = None
-_POOL_INDEX = None
-
-
-def _pool_worker_init(
-    dataset: Dataset, descriptor=None, index_descriptor=None, index=None
-) -> None:
-    if descriptor is not None:
-        # zero-copy: attach the host's shared snapshot instead of unpickling
-        # a private copy of the graph (the shipped dataset carries no graph)
-        from ..graph.shm import attach_frozen
-
-        dataset = replace(dataset, graph=attach_frozen(descriptor))
-    if index_descriptor is not None:
-        # same move for the community index: every pool worker maps the
-        # host's one segment instead of unpickling the window arrays
-        from ..graph.index import attach_index
-
-        index = attach_index(index_descriptor)
-    globals()["_POOL_DATASET"] = dataset
-    globals()["_POOL_INDEX"] = index
-
-
-def _pool_worker_run(algorithm: str, params: tuple, nodes: tuple, trace=None):
-    """Execute one item in a pool worker; everything comes back as values.
-
-    The outcome is tagged ``("ok"|"err", value)`` rather than raised so a
-    failing item's execute span still makes it back to the parent (the
-    span carries this worker's pid — the proof that trace ids survive the
-    process boundary).  ``trace`` is the request's ``TraceContext`` (or
-    None when unsampled, in which case no span is built at all).
-    """
-    started = time.time() if trace is not None else 0.0
-    outcome, hit = execute_traced(
-        _POOL_DATASET.graph, algorithm, dict(params), nodes, _POOL_INDEX
-    )
-    span = None
-    if trace is not None:
-        span = make_span(
-            trace,
-            "execute",
-            started,
-            time.time(),
-            tags={
-                "executor": "pool",
-                "pid": os.getpid(),
-                "index_hit": hit,
-                "ok": not isinstance(outcome, ProtocolError),
-            },
-        )
-    if isinstance(outcome, ProtocolError):
-        return hit, ("err", outcome), span
-    return hit, ("ok", outcome), span
-
-
-class SharedProcessPool:
-    """One ``ProcessPoolExecutor`` per shard, shared by its pool replicas.
-
-    With a shared-snapshot ``descriptor`` each pool worker attaches the
-    host's exported CSR arrays zero-copy; otherwise the frozen dataset is
-    pickled once per pool worker via the initializer (mirroring
-    ``experiments.runner``'s batched fan-out), never per task.
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        frozen: FrozenGraph,
-        workers: int,
-        *,
-        descriptor=None,
-        index_descriptor=None,
-        index=None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self._dataset = dataset
-        self._frozen = frozen
-        self._descriptor = descriptor
-        self._index_descriptor = index_descriptor
-        self._index = index
-        self._pool = None
-
-    @property
-    def snapshot_mode(self) -> str:
-        return "shared" if self._descriptor is not None else "private"
-
-    def ensure_started(self):
-        if self._pool is None:
-            import concurrent.futures
-
-            if self._descriptor is not None:
-                shipped = replace(self._dataset, graph=None)
-            elif self._index_descriptor is not None or self._index is not None:
-                # index-backed shard: the segment already carries every
-                # decomposition the workers need, so ship the snapshot with
-                # an empty memo cache instead of pickling warm memo values
-                # once per worker
-                shipped = replace(self._dataset, graph=self._frozen.without_cache())
-            else:
-                shipped = replace(self._dataset, graph=self._frozen)
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pool_worker_init,
-                initargs=(shipped, self._descriptor, self._index_descriptor, self._index),
-            )
-        return self._pool
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class PoolExecutor:
-    """Fan batch items out over the shard's shared process pool."""
-
-    kind = "pool"
-
-    def __init__(self, shared_pool: SharedProcessPool, *, telemetry=None) -> None:
-        self._shared = shared_pool
-        self._telemetry = telemetry
-        self.index_hits = 0
-
-    async def start(self) -> None:
-        self._shared.ensure_started()
-
-    async def run_batch(self, requests: list[QueryRequest]) -> list[Outcome]:
-        loop = asyncio.get_running_loop()
-        pool = self._shared.ensure_started()
-        futures = [
-            loop.run_in_executor(
-                pool,
-                _pool_worker_run,
-                request.algorithm,
-                request.params,
-                request.nodes,
-                request.trace,
-            )
-            for request in requests
-        ]
-        outcomes: list[Outcome] = []
-        for future in futures:
-            try:
-                hit, tagged, span = await future
-            except Exception as exc:  # noqa: BLE001 - mapped to structured codes
-                outcomes.append(as_protocol_error(exc))
-                continue
-            if span is not None and self._telemetry is not None:
-                # the span was built inside the pool worker; fold it into
-                # the parent's ring so the trace op sees one tree
-                self._telemetry.tracer.add(span)
-            if hit:
-                self.index_hits += 1
-            outcomes.append(tagged[1])
-        return outcomes
-
-    async def close(self) -> None:
-        # the pool itself is owned (and shut down) by the replica set
-        return None
-
-    def describe(self) -> dict[str, Any]:
-        info = {
-            "kind": self.kind,
-            "workers": self._shared.workers,
-            "snapshot": self._shared.snapshot_mode,
-        }
-        if self._shared._index_descriptor is not None or self._shared._index is not None:
             info["index_hits"] = self.index_hits
         return info
 

@@ -9,8 +9,8 @@ concerns:
   overridden per dataset, ``--replicas 2 hotset=4``).  A replica is a
   queue + micro-batch loop in front of one
   :mod:`~repro.serving.executor` executor, so replication composes with
-  any execution strategy — N inline threads, N views of a shared process
-  pool, or N dedicated worker processes each holding its own snapshot.
+  either execution strategy — N inline threads on the host's snapshot, or
+  N dedicated worker processes.
 * **Routing** — a policy picks the replica for each admitted request:
   :class:`RoundRobinPolicy` (strict rotation) or the default
   :class:`LeastLoadedPolicy` (smallest queue depth + in-flight batch,
@@ -49,8 +49,6 @@ from .executor import (
     EXECUTOR_KINDS,
     InlineExecutor,
     Outcome,
-    PoolExecutor,
-    SharedProcessPool,
     WorkerProcessExecutor,
     as_protocol_error,
 )
@@ -58,7 +56,6 @@ from .protocol import ProtocolError, QueryRequest
 from .shard import Shard
 
 __all__ = [
-    "DEFAULT_POOL_WORKERS",
     "SNAPSHOT_MODES",
     "ROUTING_POLICIES",
     "RoundRobinPolicy",
@@ -69,13 +66,9 @@ __all__ = [
     "parse_replica_spec",
 ]
 
-#: pool size when the 'pool' executor is chosen without an explicit
-#: ``workers`` count (kept deliberately small; size it with ``--workers``)
-DEFAULT_POOL_WORKERS = 2
-
 #: the closed set of snapshot-distribution modes ``--snapshot`` accepts:
 #: 'shared' exports the host's frozen CSR into a named shared-memory
-#: segment that process/pool workers attach zero-copy (falling back to
+#: segment that process workers attach zero-copy (falling back to
 #: 'private' where shared memory is unavailable); 'private' ships every
 #: worker its own copy, PR 4 behaviour
 SNAPSHOT_MODES = ("shared", "private")
@@ -221,9 +214,9 @@ class Replica:
                 self._fail_batch(batch, "shard is shutting down")
                 raise
             except Exception as exc:  # noqa: BLE001 - the loop must survive
-                # e.g. submitting to a broken pool or a dead worker process
-                # raises for the whole batch; fail it structurally and keep
-                # draining the queue rather than silently wedging the replica
+                # e.g. a worker process dying mid-batch raises for the whole
+                # batch; fail it structurally and keep draining the queue
+                # rather than silently wedging the replica
                 # — but never silently: the original exception goes to the
                 # structured log with the traced requests it took down
                 log_event(
@@ -328,7 +321,7 @@ class ReplicaSet:
 
     When built in ``shared`` snapshot mode the set also owns the exported
     shared-memory segment: the host freezes once, :func:`share_frozen`
-    exports the CSR arrays, every process/pool worker attaches zero-copy,
+    exports the CSR arrays, every process worker attaches zero-copy,
     and :meth:`close` unlinks the segment after the last worker is gone —
     the leak checks in CI assert exactly this lifecycle.
     """
@@ -338,7 +331,6 @@ class ReplicaSet:
         replicas: list[Replica],
         policy,
         *,
-        shared_pool=None,
         snapshot_handle=None,
         snapshot: str = "private",
         index_handle=None,
@@ -350,7 +342,6 @@ class ReplicaSet:
             raise ValueError("a replica set needs at least one replica")
         self.replicas = replicas
         self.policy = policy
-        self._shared_pool = shared_pool
         self._snapshot_handle = snapshot_handle
         self.snapshot_mode = snapshot
         self._index_handle = index_handle
@@ -367,7 +358,6 @@ class ReplicaSet:
         key: str,
         count: int,
         executor: str,
-        workers: Optional[int],
         routing: str,
         max_batch: int,
         snapshot: str = "private",
@@ -396,7 +386,7 @@ class ReplicaSet:
         # inline replicas already share the host's frozen object in-process
         snapshot_handle = None
         effective = "private"
-        if snapshot == "shared" and executor in ("pool", "process"):
+        if snapshot == "shared" and executor == "process":
             if shared_memory_available():
                 try:
                     snapshot_handle = frozen.share()
@@ -404,13 +394,13 @@ class ReplicaSet:
                 except (OSError, ValueError):  # graceful fallback: ship copies
                     snapshot_handle = None
         descriptor = snapshot_handle.descriptor if snapshot_handle is not None else None
-        # the community index is exported once per shard too: N process/pool
+        # the community index is exported once per shard too: N process
         # replicas on this host map ONE index segment, never N copies (a
         # pickled copy per worker is the fallback where shm is unavailable)
         index_handle = None
         index_descriptor = None
         index_copy = None
-        if index is not None and executor in ("pool", "process"):
+        if index is not None and executor == "process":
             if shared_memory_available():
                 try:
                     index_handle = index.share()
@@ -419,22 +409,10 @@ class ReplicaSet:
                     index_handle = None
             if index_descriptor is None:
                 index_copy = index
-        shared_pool = None
-        if executor == "pool":
-            shared_pool = SharedProcessPool(
-                dataset,
-                frozen,
-                workers if workers else DEFAULT_POOL_WORKERS,
-                descriptor=descriptor,
-                index_descriptor=index_descriptor,
-                index=index_copy,
-            )
         replicas = []
         for replica_index in range(count):
             if executor == "inline":
                 engine_executor = InlineExecutor(frozen, index=index, telemetry=telemetry)
-            elif executor == "pool":
-                engine_executor = PoolExecutor(shared_pool, telemetry=telemetry)
             else:
                 engine_executor = WorkerProcessExecutor(
                     dataset,
@@ -455,7 +433,6 @@ class ReplicaSet:
         return cls(
             replicas,
             ROUTING_POLICIES[routing](),
-            shared_pool=shared_pool,
             snapshot_handle=snapshot_handle,
             snapshot=effective,
             index_handle=index_handle,
@@ -472,11 +449,6 @@ class ReplicaSet:
     @property
     def executor_kind(self) -> str:
         return self.replicas[0].executor.kind
-
-    @property
-    def pool_workers(self) -> int:
-        """Size of the shared process pool (0 for pool-less strategies)."""
-        return self._shared_pool.workers if self._shared_pool is not None else 0
 
     def bind(self, on_complete: Callable) -> None:
         for replica in self.replicas:
@@ -508,9 +480,6 @@ class ReplicaSet:
                 replica.signal_drain()
         for replica in self.replicas:
             await replica.close(drain=drain)
-        if self._shared_pool is not None:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self._shared_pool.shutdown)
         if self._snapshot_handle is not None:
             # every worker is gone now: drop the owner mapping and unlink the
             # name so the kernel reclaims the segment (both are idempotent)
@@ -561,7 +530,6 @@ class Placement:
         replicas: int = 1,
         replica_overrides: Optional[dict[str, int]] = None,
         executor: str = "inline",
-        workers: Optional[int] = None,
         routing: str = LeastLoadedPolicy.name,
         snapshot: str = "shared",
         index: str = "auto",
@@ -596,10 +564,6 @@ class Placement:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0 (0 = unbounded), got {max_queue}")
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers is not None and executor != "pool":
-            raise ValueError("workers only applies to the 'pool' executor")
         overrides = dict(replica_overrides or {})
         for name, count in overrides.items():
             if name not in known_datasets:
@@ -616,7 +580,6 @@ class Placement:
             "max_queue": max_queue,
         }
         self.executor = executor
-        self.workers = workers
         self.routing = routing
         self.snapshot = snapshot
         self.index = index
@@ -753,7 +716,6 @@ class Placement:
             key=key,
             count=self.replicas_for(key),
             executor=self.executor,
-            workers=self.workers,
             routing=self.routing,
             max_batch=self._options["max_batch"],
             snapshot=self.snapshot,

@@ -104,7 +104,7 @@ class ProtocolError(Exception):
 
     def __reduce__(self):
         # default Exception pickling would replay __init__ with args=(message,)
-        # only; the worker-pool path ships these across process boundaries
+        # only; the worker-process path ships these across process boundaries
         return (ProtocolError, (self.code, self.message, self.retry_after_ms))
 
 
@@ -145,7 +145,7 @@ class QueryRequest:
 
 
 def _parse_node(token: Any) -> Any:
-    """Normalise a JSON node id the way the CLI does: int when possible.
+    """Normalise a JSON node id: int when possible (``repro search`` too).
 
     A JSON array is a tuple id (``[0, 0]`` -> ``(0, 0)``, normalised
     element by element), so an answer's ``nodes`` can be sent back as a

@@ -180,7 +180,7 @@ def run_server(
         server = QueryServer(engine, host, port)
         try:
             # inside the try: a failed bind (port in use) must still close
-            # the already-started engine (shard tasks, worker pools)
+            # the already-started engine (shard tasks, worker processes)
             await server.start()
             announce(f"serving on {server.host}:{server.port}")
             await server.wait_shutdown()

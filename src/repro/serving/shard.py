@@ -6,7 +6,7 @@ loops in :mod:`~repro.serving.placement`.  What remains here is the pure
 request-lifecycle logic every replica strategy shares:
 
 * the **frozen snapshot** — the dataset graph is frozen exactly once and
-  shared by every inline/pool replica, so the per-snapshot memo cache
+  shared by every inline replica, so the per-snapshot memo cache
   (k-core structures, the full truss decomposition, per-``k`` truss
   components, kecc partitions, ...) amortises across *requests* the same
   way ``evaluate_batch`` amortises it across a sweep (worker-process
@@ -33,7 +33,7 @@ request-lifecycle logic every replica strategy shares:
 
 Closing a shard **drains**: the in-flight batch on each replica finishes
 (its clients get real results), queued-but-unstarted requests fail with
-structured errors, and executors (threads, pools, worker processes) shut
+structured errors, and executors (threads, worker processes) shut
 down cleanly.
 """
 
@@ -391,7 +391,6 @@ class Shard:
             "index": self._index_stats(),
             "routing": self.replica_set.policy.name,
             "replica_count": len(self.replica_set),
-            "workers": self.replica_set.pool_workers,
             "queries": self.queries,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,

@@ -52,6 +52,20 @@ class TestSearchCommand:
         assert code == 1
         assert "no community" in capsys.readouterr().out
 
+    def test_search_names_a_tuple_node(self, capsys):
+        # ring-of-cliques names its nodes (clique, member); a JSON array
+        # token is a tuple id, the same rule as the wire protocol
+        code = main(
+            ["search", "--dataset", "ring-of-cliques", "--algorithm", "NCA",
+             "--query", "[0, 0]"]
+        )
+        assert code == 0
+        members = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("members")
+        )
+        assert "(0, 0)" in members
+
     def test_search_on_edge_list_file(self, tmp_path, capsys, karate_graph):
         from repro.graph import write_edge_list
 
@@ -107,13 +121,17 @@ class TestStructuredErrors:
         assert main(["search", "--dataset", "karate", "--algorithm", "kt", "--query", "999"]) == 2
         assert "not in the graph" in capsys.readouterr().err
 
+    def test_search_malformed_array_node(self, capsys):
+        for token in ("[0, 0", "[true]", "[0.5]"):
+            assert main(
+                ["search", "--dataset", "karate", "--algorithm", "kt", "--query", token]
+            ) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --query") and "not a node id" in err
+
     def test_serve_unknown_dataset(self, capsys):
         assert main(["serve", "--datasets", "atlantis"]) == 2
         assert "unknown dataset" in capsys.readouterr().err
-
-    def test_serve_rejects_bad_workers(self, capsys):
-        assert main(["serve", "--workers", "0"]) == 2
-        assert "--workers must be a positive integer" in capsys.readouterr().err
 
     def test_serve_rejects_bad_replica_specs(self, capsys):
         assert main(["serve", "--replicas", "0"]) == 2
@@ -128,10 +146,6 @@ class TestStructuredErrors:
     def test_serve_rejects_negative_max_queue(self, capsys):
         assert main(["serve", "--max-queue", "-1"]) == 2
         assert "--max-queue must be >= 0" in capsys.readouterr().err
-
-    def test_serve_rejects_workers_without_pool_executor(self, capsys):
-        assert main(["serve", "--executor", "process", "--workers", "2"]) == 2
-        assert "--workers only applies to --executor pool" in capsys.readouterr().err
 
     def test_serve_port_in_use_is_structured(self, capsys):
         import socket
@@ -210,10 +224,9 @@ class TestServeParser:
         assert args.host == "127.0.0.1"
         assert args.port == 7531
         assert args.datasets == ["karate"]
-        assert args.workers is None
         assert args.cache_size == 1024
         assert args.max_batch == 64
-        assert args.executor is None  # resolved to inline (or pool w/ --workers)
+        assert args.executor == "inline"
         assert args.replicas == ["1"]
         assert args.max_queue == 0
         assert args.routing == "least-loaded"
@@ -221,11 +234,10 @@ class TestServeParser:
     def test_serve_flags(self):
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--datasets", "karate", "dolphin",
-             "--workers", "2", "--cache-size", "16", "--max-batch", "8"]
+             "--cache-size", "16", "--max-batch", "8"]
         )
         assert args.port == 0
         assert args.datasets == ["karate", "dolphin"]
-        assert args.workers == 2
         assert args.cache_size == 16
         assert args.max_batch == 8
 
@@ -238,3 +250,11 @@ class TestServeParser:
         assert args.replicas == ["2", "dolphin=4"]
         assert args.max_queue == 32
         assert args.routing == "round-robin"
+
+    def test_serve_rejects_removed_pool_flags(self, capsys):
+        # serving has two executors, inline and process; neither is sized
+        for argv in (["serve", "--executor", "pool"], ["serve", "--workers", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            capsys.readouterr()

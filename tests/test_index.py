@@ -317,7 +317,7 @@ class TestServingIntegration:
 
         return run(scenario())
 
-    @pytest.mark.parametrize("executor", ["inline", "pool", "process"])
+    @pytest.mark.parametrize("executor", ["inline", "process"])
     def test_indexed_matches_executed(self, tmp_path, executor):
         if executor != "inline" and not shared_memory_available():
             pytest.skip("named shared memory unavailable")

@@ -302,13 +302,6 @@ class TestTracePropagation:
         self._assert_tree(first, spans)
         self._assert_cached_repeat(repeat, repeat_spans)
 
-    def test_pool_executor_span_tree(self):
-        first, repeat, spans, repeat_spans = run(
-            self._traced_query(executor="pool", workers=1, snapshot="private")
-        )
-        self._assert_tree(first, spans, expect_pid_differs=True)
-        self._assert_cached_repeat(repeat, repeat_spans)
-
     def test_process_executor_span_tree(self):
         first, repeat, spans, repeat_spans = run(
             self._traced_query(executor="process", snapshot="private")

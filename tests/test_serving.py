@@ -78,7 +78,7 @@ class TestParseRequest:
         assert excinfo.value.code == code
 
     def test_protocol_error_pickles_round_trip(self):
-        # the worker-pool path ships ProtocolError across process boundaries
+        # the worker-process path ships ProtocolError across process boundaries
         import pickle
 
         error = ProtocolError("bad_query", "node 7 is not in the graph")
@@ -316,14 +316,14 @@ class TestSharding:
 
 
 # ----------------------------------------------------------------------------
-# worker-pool execution path
+# worker-process execution path
 # ----------------------------------------------------------------------------
 
 
 class TestWorkerPool:
     def test_worker_shard_matches_reference(self, karate):
         async def scenario():
-            async with ServingEngine(datasets=["karate"], workers=1) as engine:
+            async with ServingEngine(datasets=["karate"], executor="process") as engine:
                 first, _, _ = await engine.query("karate", "kt", [0])
                 second, cached, _ = await engine.query("karate", "kt", [0])
                 return first, second, cached
@@ -334,9 +334,9 @@ class TestWorkerPool:
         assert cached and second.nodes == first.nodes
 
     def test_batch_loop_survives_executor_failure(self):
-        """An exception escaping the whole batch (e.g. a broken process pool
-        raising at submit time) fails that batch structurally instead of
-        killing the replica's consumer task and wedging the shard."""
+        """An exception escaping the whole batch (e.g. a worker process
+        dying mid-batch) fails that batch structurally instead of killing
+        the replica's consumer task and wedging the shard."""
 
         async def scenario():
             async with ServingEngine(datasets=["karate"]) as engine:
@@ -351,7 +351,7 @@ class TestWorkerPool:
 
                     async def run_batch(self, requests):
                         replica.executor = real_executor  # break exactly once
-                        raise RuntimeError("pool is gone")
+                        raise RuntimeError("worker is gone")
 
                     async def close(self):
                         pass
@@ -401,16 +401,6 @@ class TestWorkerPool:
                 return exc.code
 
         assert run(scenario()) == "internal_error"
-
-    def test_worker_shard_maps_errors(self):
-        async def scenario():
-            async with ServingEngine(datasets=["karate"], workers=1) as engine:
-                try:
-                    await engine.query("karate", "kt", [999])
-                except ProtocolError as exc:
-                    return exc.code
-
-        assert run(scenario()) == "bad_query"
 
 
 # ----------------------------------------------------------------------------

@@ -169,9 +169,9 @@ class TestReplicaConfiguration:
             ServingEngine(routing="random")
         with pytest.raises(KeyError):
             ServingEngine(replica_overrides={"atlantis": 2})
-        with pytest.raises(ValueError):
-            # workers only applies to the shared-pool strategy
-            ServingEngine(executor="process", workers=2)
+        with pytest.raises(ValueError, match="inline, process"):
+            # the message lists the executors that exist
+            ServingEngine(executor="pool")
 
     def test_parse_replica_spec(self):
         known = {"karate", "dolphin"}
@@ -235,10 +235,6 @@ class TestExecutorParity:
                     return exc.code
 
         assert run(scenario()) == "bad_query"
-
-    def test_pool_executor_with_replicas_matches_reference(self, karate):
-        stats = self._parity(karate, replicas=2, executor="pool", workers=1)
-        assert stats["executor"] == "pool" and stats["workers"] == 1
 
 
 # ----------------------------------------------------------------------------
@@ -428,7 +424,6 @@ class TestStatsSchema:
         "snapshot",
         "routing",
         "replica_count",
-        "workers",
         "queries",
         "cache_hits",
         "cache_misses",
