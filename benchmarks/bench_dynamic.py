@@ -30,6 +30,10 @@ refuses a write — and post-swap queries must
 keep *hitting* the index, with the ``/dev/shm`` leak gate covering the
 superseded ``repro_snap_idx_*`` segments.
 
+With ``--executor process`` the mutations race process replicas: each
+epoch is handed to the existing worker processes at an in-queue barrier,
+and the run fails unless every replica reports ``restarts == 0``.
+
 The timing phase (skipped under ``--parity-only``) compares the two
 publication paths on a bigger mutation stream in-process: a from-scratch
 refreeze per batch vs the incremental core/support/truss repair, and
@@ -43,6 +47,9 @@ Usage::
     python benchmarks/bench_dynamic.py --parity-only --index require
                                                           # + the index tier
                                                           # under mutation
+    python benchmarks/bench_dynamic.py --parity-only --index require --executor process
+                                                          # + worker processes
+                                                          # kept across epochs
     python benchmarks/bench_dynamic.py --json BENCH_dynamic.json
 """
 
@@ -193,7 +200,10 @@ def query_worker(port, references, stop, failures, observed):
 
 
 def run_parity(
-    scale: float, json_path: str | None = None, index_mode: str | None = None
+    scale: float,
+    json_path: str | None = None,
+    index_mode: str | None = None,
+    executor: str | None = None,
 ) -> int:
     failures: list[str] = []
 
@@ -210,7 +220,7 @@ def run_parity(
     # with --index the mutation stream must keep the index hot: builds the
     # file first, then every epoch swap republishes the rebuilt one
     indexed = bool(index_mode) and index_mode != "off"
-    server_kwargs: dict = {"epochs": True}
+    server_kwargs: dict = {"epochs": True, "executor": executor}
     index_tmp = None
     if indexed:
         index_tmp = tempfile.mkdtemp(prefix="repro-bench-dynidx-")
@@ -291,10 +301,13 @@ def run_parity(
                 "min-epoch-beyond-is-stale-epoch",
                 not beyond.get("ok") and beyond["error"]["code"] == "stale_epoch",
             )
+            hits_before_probe = 0
             if indexed:
                 # a probe NOT in the query workers' rotation: guaranteed
-                # cache-cold, so it must reach the post-final-swap replica
-                # set and be answered from the rebuilt index
+                # cache-cold, so it must reach the replicas after the final
+                # swap and be answered from the rebuilt index (the hit
+                # counters span every epoch, so the probe's hit is the delta)
+                hits_before_probe = client.stats()["shards"][PARITY_DATASET]["index"]["hits"]
                 fresh = client.query(PARITY_DATASET, "hightruss", [16])
                 check("index-post-swap-query-ok", bool(fresh.get("ok")))
             stats = client.stats()
@@ -303,9 +316,16 @@ def run_parity(
         check("stats-epoch-swaps", shard["epoch"]["swaps"] == epochs)
         check("stats-epoch-batches", shard["epoch"]["batches"] == epochs)
         check("stats-stale-rejections", shard["epoch"]["stale_rejections"] == 1)
+        if executor == "process":
+            # the worker processes outlive every epoch: each mutation hands
+            # them the new snapshot, none is respawned
+            check(
+                "process-replicas-never-restarted",
+                all(r["executor"].get("restarts") == 0 for r in shard["replicas"]),
+            )
         if indexed:
             check("index-stays-effective", shard["index"]["effective"] == "indexed")
-            check("index-hits-after-swap", shard["index"]["hits"] > 0)
+            check("index-hits-after-swap", shard["index"]["hits"] > hits_before_probe)
             check(
                 "index-maintained-every-epoch",
                 shard["epoch"]["index_rebuilds"] == epochs,
@@ -330,6 +350,7 @@ def run_parity(
             parity=not failures,
             mode="parity",
             index=index_mode or "off",
+            executor=executor or "inline",
             epochs=epochs,
             clients=PARITY_CLIENTS,
             responses_checked=served_total,
@@ -354,7 +375,7 @@ def run_parity(
         print(
             f"index under mutation ok: mode {index_mode}, rebuilt for all "
             f"{epochs} epochs, index stayed effective with "
-            f"{shard['index']['hits']} post-swap hits"
+            f"{shard['index']['hits']} hits"
         )
     return 0
 
@@ -442,8 +463,17 @@ def main(argv=None) -> int:
         "index rebuilt (never refused) and that "
         "post-swap queries still hit it",
     )
+    parser.add_argument(
+        "--executor",
+        choices=["inline", "process"],
+        default=None,
+        help="forwarded to `repro serve --executor`; with 'process' the parity "
+        "phase also asserts no worker process was restarted",
+    )
     args = parser.parse_args(argv)
-    status = run_parity(args.scale, args.json_path, index_mode=args.index)
+    status = run_parity(
+        args.scale, args.json_path, index_mode=args.index, executor=args.executor
+    )
     if status or args.parity_only:
         return status
     return run_timings(args.scale, args.json_path)

@@ -9,7 +9,8 @@ it, so "which graph answered this query" is always explicit on the wire.
 
 Publication is two-phase so callers can interpose work between computing a
 snapshot and exposing it (the serving layer republishes the community
-index and builds a fresh replica set in between):
+index file and shares the new snapshot in between, then hands it to its
+long-lived replicas at the swap):
 
 * :meth:`prepare` does *all* the work on private copies — replays the
   batch, repairs the decomposition state (incrementally up to
@@ -29,6 +30,7 @@ reruns on the incremental path.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from time import perf_counter
 from time import time as wall_time
 from typing import Any, Optional
@@ -42,6 +44,19 @@ from .delta import DeltaBatch
 from .incremental import apply_op
 
 __all__ = ["EpochManager", "PreparedEpoch"]
+
+
+@contextmanager
+def _stage_span(tracer, context, name: str):
+    """Span one ``prepare`` stage under ``context`` (free when untraced)."""
+    if tracer is None:
+        yield
+        return
+    started = wall_time()
+    try:
+        yield
+    finally:
+        tracer.emit(context, name, started, wall_time())
 
 
 class PreparedEpoch:
@@ -173,50 +188,64 @@ class EpochManager:
         state is untouched — everything runs on copies) and ``ValueError``
         on an empty batch.  ``trace`` is an optional observability context
         (see :mod:`repro.obs.trace`); combined with an attached
-        ``tracer`` it spans the whole prepare and the index rebuild inside
-        it.
+        ``tracer`` it spans the whole prepare, with one child span per
+        stage: ``epoch.copy``, ``epoch.apply``, ``epoch.freeze``,
+        ``epoch.edge_index``, ``epoch.core_support``, ``epoch.truss`` and,
+        with a bound index, ``epoch.index``.
         """
         tracer = self.tracer if trace is not None else None
         prepare_started = wall_time() if tracer is not None else 0.0
+        stages = trace.child() if tracer is not None else None
+
+        def stage(name: str):
+            return _stage_span(tracer, stages, name)
+
         ops = list(batch)
         if not ops:
             raise ValueError("cannot publish an epoch from an empty delta batch")
-        working = self._graph.copy()
+        with stage("epoch.copy"):
+            working = self._graph.copy()
         incremental = len(ops) <= self.threshold
-        if incremental:
-            committed_core, committed_support = self._state()
-            core = dict(committed_core)
-            support = dict(committed_support)
-            for op in ops:
-                apply_op(working, core, support, op)
-        else:
-            batch.apply(working)
-            core = {}
-            support = {}
-        frozen = freeze(working)
-        csr = frozen.csr
-        index = csr_edge_index(csr)
-        if incremental:
-            node_list = csr.node_list
-            core_list = [core[node] for node in node_list]
-            reprs = [repr(node) for node in node_list]
-            eu, ev = index.eu, index.ev
-            support_list = []
-            for e in range(index.num_edges):
-                i, j = eu[e], ev[e]
-                key = (
-                    (node_list[i], node_list[j])
-                    if reprs[i] <= reprs[j]
-                    else (node_list[j], node_list[i])
-                )
-                support_list.append(support[key])
-            truss_list = csr_truss_numbers(csr, index, support=support_list)
-        else:
-            core_list = csr_core_numbers(csr)
-            support_list = csr_edge_support(csr, index)
-            truss_list = csr_truss_numbers(csr, index)
-            core = dict(zip(csr.node_list, core_list))
-            support = _edge_value_dict(frozen, index, support_list)
+        with stage("epoch.apply"):
+            if incremental:
+                committed_core, committed_support = self._state()
+                core = dict(committed_core)
+                support = dict(committed_support)
+                for op in ops:
+                    apply_op(working, core, support, op)
+            else:
+                batch.apply(working)
+        with stage("epoch.freeze"):
+            frozen = freeze(working)
+            csr = frozen.csr
+        with stage("epoch.edge_index"):
+            index = csr_edge_index(csr)
+        with stage("epoch.core_support"):
+            if incremental:
+                node_list = csr.node_list
+                core_list = [core[node] for node in node_list]
+                reprs = [repr(node) for node in node_list]
+                eu, ev = index.eu, index.ev
+                support_list = []
+                for e in range(index.num_edges):
+                    i, j = eu[e], ev[e]
+                    key = (
+                        (node_list[i], node_list[j])
+                        if reprs[i] <= reprs[j]
+                        else (node_list[j], node_list[i])
+                    )
+                    support_list.append(support[key])
+                support_values = _edge_value_dict(frozen, index, support_list)
+            else:
+                core_list = csr_core_numbers(csr)
+                support_list = csr_edge_support(csr, index)
+                core = dict(zip(csr.node_list, core_list))
+                support_values = _edge_value_dict(frozen, index, support_list)
+                support = dict(support_values)
+        with stage("epoch.truss"):
+            truss_list = csr_truss_numbers(
+                csr, index, support=support_list if incremental else None
+            )
         # prime the new snapshot's memo cache with the maintained values —
         # the exact base keys the lazy paths would fill; every derived
         # format (core dicts, truss dicts, k-core structures) computes
@@ -225,29 +254,23 @@ class EpochManager:
         cache = frozen.shared_cache()
         cache[("csr-core-numbers",)] = list(core_list)
         cache[("csr-edge-index",)] = index
-        cache[("edge-support",)] = _edge_value_dict(frozen, index, support_list)
+        cache[("edge-support",)] = support_values
         cache[("csr-edge-truss",)] = list(truss_list)
         # rebuild the bound community index from the decompositions just
         # computed, off the serving path, so it is never stale
         index_new: Optional[CommunityIndex] = None
         index_seconds = 0.0
         if self.index is not None:
-            index_wall_started = wall_time() if tracer is not None else 0.0
-            index_started = perf_counter()
-            index_new = _assemble_index(
-                frozen, core_list, index, truss_list, dataset=self.index.dataset
-            )
-            index_seconds = perf_counter() - index_started
-            if tracer is not None:
-                tracer.emit(
-                    trace,
-                    "epoch.index",
-                    index_wall_started,
-                    index_wall_started + index_seconds,
+            with stage("epoch.index"):
+                index_started = perf_counter()
+                index_new = _assemble_index(
+                    frozen, core_list, index, truss_list, dataset=self.index.dataset
                 )
+                index_seconds = perf_counter() - index_started
         if tracer is not None:
-            tracer.emit(
+            tracer.emit_as(
                 trace,
+                stages,
                 "epoch.prepare",
                 prepare_started,
                 wall_time(),

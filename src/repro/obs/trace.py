@@ -144,6 +144,26 @@ class Tracer:
             self._ring.append(span)
         return span
 
+    def emit_as(
+        self,
+        context: TraceContext,
+        own: TraceContext,
+        name: str,
+        start: float,
+        end: float,
+        **tags: Any,
+    ) -> dict[str, Any]:
+        """Record a child of ``context`` that reuses ``own.span_id``.
+
+        For a stage whose sub-stages were emitted against ``own`` while it
+        ran: they become this span's children.
+        """
+        span = make_span(context, name, start, end, tags=tags or None)
+        span["span"] = own.span_id
+        with self._lock:
+            self._ring.append(span)
+        return span
+
     def emit_root(
         self,
         context: TraceContext,

@@ -12,19 +12,20 @@ each of its replicas hands micro-batches to one of two executors:
   decomposition once.  Replication pays off here mainly through queueing
   isolation; use ``process`` replicas for CPU scale-out.
 * :class:`WorkerProcessExecutor` — owns a **dedicated spawn-safe worker
-  process per replica**.  With a shared-snapshot descriptor the child
-  **attaches** the host's exported CSR arrays zero-copy
+  process per replica**.  With shared memory the child **attaches** the
+  host's exported CSR arrays and index regions zero-copy
   (:mod:`repro.graph.shm`): N replicas read literally the same bytes and
-  only the tiny descriptor crosses the pipe.  Without one (or where
-  shared memory is unavailable) the child loads the shipped mutable
-  dataset and freezes **its own** snapshot.  Either way each replica has
-  a private memo cache and hot datasets scale past the GIL: two process
-  replicas really do peel two truss decompositions concurrently.  A
-  crashed worker is respawned on the next batch; the batch that observed
-  the crash fails with a structured ``internal_error``.
+  only the tiny descriptors cross the pipe.  Without it the child gets a
+  pickled copy of the snapshot.  Either way each replica has a private
+  memo cache and hot datasets scale past the GIL: two process replicas
+  really do peel two truss decompositions concurrently.  A crashed worker
+  is respawned on the next batch; the batch that observed the crash fails
+  with a structured ``internal_error``.
 
-Both executors expose the same tiny surface — ``start``, ``run_batch``,
-``close``, ``describe`` — and map execution failures to the closed
+What an executor serves is a :class:`Published` snapshot.  Both executors
+expose the same tiny surface — ``start``, ``run_batch``, ``rebind`` (serve
+the next epoch's snapshot; the worker process stays), ``close``,
+``describe`` — and map execution failures to the closed
 :class:`~repro.serving.protocol.ProtocolError` code set, so replicas and
 shards never see a raw traceback.
 """
@@ -36,12 +37,10 @@ import logging
 import os
 import threading
 import time
-from dataclasses import replace
 from typing import Any, Optional, Union
 
-from ..datasets import Dataset
 from ..experiments.registry import get_algorithm
-from ..graph import FrozenGraph, GraphError, freeze
+from ..graph import FrozenGraph, GraphError, freeze, shared_memory_available
 from ..obs.log import log_event
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import make_span
@@ -50,6 +49,7 @@ from .protocol import ProtocolError, QueryRequest
 __all__ = [
     "EXECUTOR_KINDS",
     "Outcome",
+    "Published",
     "InlineExecutor",
     "WorkerProcessExecutor",
     "execute_one",
@@ -133,6 +133,86 @@ def _rss_kb() -> Optional[int]:
 
 
 # ----------------------------------------------------------------------------
+# one published snapshot, as the executors receive it
+# ----------------------------------------------------------------------------
+
+
+class Published:
+    """One snapshot (and its index) handed to a replica set's executors.
+
+    Built once per host per snapshot.  For process executors it puts the
+    CSR arrays (``snapshot == 'shared'``) and the index regions into
+    shared-memory segments, so N workers map one copy; where shared memory
+    fails, workers get pickled copies instead.  Inline executors read
+    ``frozen`` and ``index`` directly.  The owner calls :meth:`close` once
+    no executor reads this snapshot any more; it unlinks the segments.
+    """
+
+    __slots__ = (
+        "frozen",
+        "index",
+        "index_reason",
+        "index_algorithms",
+        "snapshot_handle",
+        "index_handle",
+    )
+
+    def __init__(
+        self,
+        frozen: FrozenGraph,
+        index=None,
+        index_reason: Optional[str] = None,
+        *,
+        executor: str,
+        snapshot: str,
+    ) -> None:
+        self.frozen = frozen
+        self.index = index
+        self.index_reason = index_reason
+        self.index_algorithms = index.served_algorithms() if index is not None else ()
+        self.snapshot_handle = self.index_handle = None
+        if executor == "process" and shared_memory_available():
+            if snapshot == "shared":
+                try:
+                    self.snapshot_handle = frozen.share()
+                except (OSError, ValueError):  # graceful fallback: ship copies
+                    pass
+            if index is not None:
+                try:
+                    self.index_handle = index.share()
+                except (OSError, ValueError):
+                    pass
+
+    @property
+    def snapshot_mode(self) -> str:
+        return "shared" if self.snapshot_handle is not None else "private"
+
+    def worker_payload(self) -> dict[str, Any]:
+        """What a worker process loads: descriptors, or pickled copies."""
+        shared = self.snapshot_handle is not None
+        return {
+            "snapshot": self.snapshot_handle.descriptor if shared else None,
+            # a private snapshot never ships warm memo values: the worker
+            # derives its own, and an index carries the decompositions
+            "graph": None if shared else self.frozen.without_cache(),
+            "index_snapshot": (
+                self.index_handle.descriptor if self.index_handle is not None else None
+            ),
+            "index": self.index if self.index_handle is None else None,
+        }
+
+    def close(self) -> None:
+        """Drop the owner mappings and unlink the segments (idempotent)."""
+        for handle in (self.snapshot_handle, self.index_handle):
+            if handle is not None:
+                try:
+                    handle.close()
+                    handle.unlink()
+                except OSError:
+                    pass
+
+
+# ----------------------------------------------------------------------------
 # inline: a thread hop per batch against the shared snapshot
 # ----------------------------------------------------------------------------
 
@@ -142,14 +222,23 @@ class InlineExecutor:
 
     kind = "inline"
 
-    def __init__(self, frozen: FrozenGraph, *, index=None, telemetry=None) -> None:
-        self._frozen = frozen
-        self._index = index
+    def __init__(self, published: Published, *, telemetry=None) -> None:
+        self._frozen = published.frozen
+        self._index = published.index
         self._telemetry = telemetry
         self.index_hits = 0
 
+    @property
+    def pid(self) -> int:
+        return os.getpid()
+
     async def start(self) -> None:  # nothing to warm up
         return None
+
+    async def rebind(self, published: Published, trace=None) -> None:
+        """Serve ``published`` from the next batch on (between batches only)."""
+        self._frozen = published.frozen
+        self._index = published.index
 
     async def run_batch(self, requests: list[QueryRequest]) -> list[Outcome]:
         # one thread hop for the whole batch: the event loop keeps
@@ -197,73 +286,106 @@ class InlineExecutor:
 # ----------------------------------------------------------------------------
 
 
-def _worker_process_main(
-    conn, dataset: Dataset, descriptor=None, index_descriptor=None, index=None
-) -> None:
-    """Entry point of a replica's worker process (spawn-safe, module level).
+def _load_published(payload: dict[str, Any]):
+    """Map (or unpickle) one :meth:`Published.worker_payload` in a worker.
 
-    With a ``descriptor`` the child attaches the host's shared snapshot —
-    zero-copy, nothing is rebuilt, and the dict adjacency is deliberately
-    *not* prebuilt (it would re-materialise privately what the segment
-    already holds; the CSR kernels serve every hot read).  Without one it
-    freezes **its own** snapshot from the shipped mutable dataset.  Either
-    way the memo cache is private, so replicas never contend on one
-    interpreter.  An ``index_descriptor`` attaches the host's community
-    index segment the same zero-copy way (``index`` carries a pickled copy
-    where shared memory is unavailable).  The handshake reports the
-    snapshot/index modes and the resident memory the snapshot cost this
-    worker, then the loop answers ``("batch", items)`` messages — items
-    are ``(algorithm, params, nodes, trace)`` tuples, and each reply
-    ``("batch", outcomes, hits, extra)`` also carries how many items the
-    index served plus the observability payload ``extra``: the execute
-    spans of traced items (built here, with this child's pid, so trace
-    ids provably survive the process boundary) and a mergeable metrics
-    delta the parent folds into the engine registry — until
-    ``("stop", None)`` or pipe close.
+    Returns ``(frozen, index, info)``.  An attached snapshot is *not*
+    given a dict adjacency (it would re-materialise privately what the
+    segment already holds; the CSR kernels serve every hot read); a
+    private copy gets its adjacency lists prebuilt outside any batch
+    timing.  ``info`` reports the snapshot/index modes and the resident
+    memory the load cost.  On failure nothing stays mapped.
     """
-    attached = None
-    attached_index = None
+    rss_before = _rss_kb()
+    frozen = index = None
     try:
-        rss_before = _rss_kb()
-        if descriptor is not None:
+        if payload["snapshot"] is not None:
             from ..graph.shm import attach_frozen
 
-            frozen = attached = attach_frozen(descriptor)
+            frozen = attach_frozen(payload["snapshot"])
         else:
-            frozen = freeze(dataset.graph)
-            frozen.csr.adjacency_lists()  # prebuild outside any batch timing
-        if index_descriptor is not None:
+            frozen = freeze(payload["graph"])
+            frozen.csr.adjacency_lists()
+        if payload["index_snapshot"] is not None:
             from ..graph.index import attach_index
 
-            index = attached_index = attach_index(index_descriptor)
-        rss_after = _rss_kb()
-        info = {
-            "snapshot": "shared" if descriptor is not None else "private",
-            "index": (
-                "attached"
-                if attached_index is not None
-                else ("copied" if index is not None else None)
-            ),
-            "rss_kb": rss_after,
-            "snapshot_rss_kb": (
-                rss_after - rss_before
-                if rss_after is not None and rss_before is not None
-                else None
-            ),
-        }
-        conn.send(("ready", info))
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        try:
-            conn.send(("failed", f"{type(exc).__name__}: {exc}"))
-        finally:
-            conn.close()
-        return
+            index = attach_index(payload["index_snapshot"])
+        else:
+            index = payload["index"]
+    except BaseException:
+        _release(frozen, index)
+        raise
+    rss_after = _rss_kb()
+    info = {
+        "snapshot": "shared" if payload["snapshot"] is not None else "private",
+        "index": (
+            "attached"
+            if payload["index_snapshot"] is not None
+            else ("copied" if index is not None else None)
+        ),
+        "rss_kb": rss_after,
+        "snapshot_rss_kb": (
+            rss_after - rss_before
+            if rss_after is not None and rss_before is not None
+            else None
+        ),
+    }
+    return frozen, index, info
+
+
+def _release(frozen, index) -> None:
+    """Detach whatever of a loaded snapshot lives in shared segments."""
+    for loaded in (index, frozen):
+        detach = getattr(loaded, "detach", None)
+        if detach is not None:
+            try:
+                detach()  # release the views before the mapping goes
+            except Exception:  # noqa: BLE001 - teardown must not mask the exit
+                pass
+
+
+def _worker_process_main(conn, name: str) -> None:
+    """Entry point of a replica's worker process (spawn-safe, module level).
+
+    The loop answers two messages until ``("stop", None)`` or pipe close:
+
+    * ``("attach", payload)`` — the first message, and every epoch
+      hand-off after it: load ``payload`` (see :func:`_load_published`),
+      detach the previous snapshot, reply ``("ready", info)`` with the
+      snapshot/index modes and the resident memory the load cost.  If the
+      load fails the child replies ``("failed", reason)`` and exits; the
+      parent respawns it on its current snapshot.
+    * ``("batch", items)`` — items are ``(algorithm, params, nodes,
+      trace)`` tuples, and each reply ``("batch", outcomes, hits, extra)``
+      also carries how many items the index served plus the observability
+      payload ``extra``: the execute spans of traced items (built here,
+      with this child's pid, so trace ids provably survive the process
+      boundary) and a mergeable metrics delta the parent folds into the
+      engine registry.
+
+    The memo cache is private, so replicas never contend on one
+    interpreter.
+    """
+    frozen = index = None
     pid = os.getpid()
     while True:
         try:
-            kind, payload = conn.recv()
+            kind, message = conn.recv()
         except (EOFError, OSError):
             break
+        if kind == "attach":
+            try:
+                loaded = _load_published(message)
+            except BaseException as exc:  # noqa: BLE001 - reported to the parent
+                conn.send(("failed", f"{type(exc).__name__}: {exc}"))
+                break
+            # the old segments are unmapped before the reply, so the host
+            # can unlink them the moment every replica has answered
+            _release(frozen, index)
+            frozen, index, info = loaded
+            del loaded
+            conn.send(("ready", info))
+            continue
         if kind != "batch":
             break
         outcomes = []
@@ -272,10 +394,10 @@ def _worker_process_main(
         # per-batch metrics delta: tiny, local, shipped back with the reply
         # and folded into the engine registry — the mergeable-metrics path
         delta = MetricsRegistry()
-        execute_hist = delta.histogram("repro_worker_execute_ms", dataset=dataset.name)
-        executed = delta.counter("repro_worker_executed_total", dataset=dataset.name)
-        errored = delta.counter("repro_worker_errors_total", dataset=dataset.name)
-        for algorithm, params, nodes, trace in payload:
+        execute_hist = delta.histogram("repro_worker_execute_ms", dataset=name)
+        executed = delta.counter("repro_worker_executed_total", dataset=name)
+        errored = delta.counter("repro_worker_errors_total", dataset=name)
+        for algorithm, params, nodes, trace in message:
             started_wall = time.time() if trace is not None else 0.0
             started = time.perf_counter()
             outcome, hit = execute_traced(frozen, algorithm, dict(params), nodes, index)
@@ -305,16 +427,7 @@ def _worker_process_main(
             outcomes.append(("err", outcome) if failed else ("ok", outcome))
         extra = {"spans": spans, "metrics": delta.to_wire()}
         conn.send(("batch", outcomes, hits, extra))
-    if attached_index is not None:
-        try:
-            attached_index.detach()
-        except Exception:  # noqa: BLE001 - teardown must not mask the exit
-            pass
-    if attached is not None:
-        try:
-            attached.detach()  # release the views before the mapping goes
-        except Exception:  # noqa: BLE001 - teardown must not mask the exit
-            pass
+    _release(frozen, index)
     conn.close()
 
 
@@ -323,29 +436,28 @@ class WorkerProcessExecutor:
 
     The spawn context is used deliberately: it is safe under threads and
     event loops on every platform, and it forces the child to build its own
-    world (import, dataset, **its own frozen snapshot**) instead of
-    inheriting a possibly-inconsistent fork of the parent.  All pipe I/O is
-    blocking and therefore pushed onto the default thread-pool; one batch
-    is in flight per worker at a time (the owning replica's loop guarantees
-    that, the lock makes it safe even under direct use).
+    world instead of inheriting a possibly-inconsistent fork of the parent.
+    The worker lives as long as the replica: :meth:`rebind` hands it each
+    new snapshot over the pipe.  The executor always remembers the current
+    snapshot, so a worker respawned after a crash loads the current epoch.
+    All pipe I/O is blocking and therefore pushed onto the default
+    thread-pool; one message is in flight per worker at a time (the owning
+    replica's loop guarantees that, the lock makes it safe even under
+    direct use).
     """
 
     kind = "process"
 
     def __init__(
         self,
-        dataset: Dataset,
+        name: str,
+        published: Published,
         *,
-        descriptor=None,
-        index_descriptor=None,
-        index=None,
         start_timeout: float = 120.0,
         telemetry=None,
     ) -> None:
-        self._dataset = dataset
-        self._descriptor = descriptor
-        self._index_descriptor = index_descriptor
-        self._index = index
+        self._name = name
+        self._published = published
         self._telemetry = telemetry
         self._start_timeout = start_timeout
         self._proc = None
@@ -357,62 +469,63 @@ class WorkerProcessExecutor:
 
     @property
     def snapshot_mode(self) -> str:
-        return "shared" if self._descriptor is not None else "private"
+        return self._published.snapshot_mode
+
+    @property
+    def pid(self) -> Optional[int]:
+        proc = self._proc
+        return proc.pid if proc is not None else None
 
     # -- child management (all called from worker threads, under the lock) --
+    def _recv_reply(self, what: str):
+        """The child's next reply; raises RuntimeError on silence or death."""
+        try:
+            if not self._conn.poll(self._start_timeout):
+                raise RuntimeError(
+                    f"worker process for {self._name!r} did not answer {what} "
+                    f"within {self._start_timeout}s"
+                )
+            return self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise RuntimeError(
+                f"worker process for {self._name!r} died during {what} "
+                f"({type(exc).__name__})"
+            ) from None
+
     def _spawn(self) -> None:
         import multiprocessing
 
         ctx = multiprocessing.get_context("spawn")
         parent_conn, child_conn = ctx.Pipe()
-        if self._descriptor is not None:
-            # the child attaches the shared segment; only the descriptor and
-            # the dataset's metadata cross the pipe, never the graph
-            shipped = replace(self._dataset, graph=None)
-        elif (
-            isinstance(self._dataset.graph, FrozenGraph)
-            and (self._index_descriptor is not None or self._index is not None)
-        ):
-            # index-backed, private snapshot: never pickle warm memo values
-            # into the child — the index carries the decompositions
-            shipped = replace(self._dataset, graph=self._dataset.graph.without_cache())
-        else:
-            shipped = self._dataset
         proc = ctx.Process(
             target=_worker_process_main,
-            args=(child_conn, shipped, self._descriptor, self._index_descriptor, self._index),
-            name=f"repro-replica:{self._dataset.name}",
+            args=(child_conn, self._name),
+            name=f"repro-replica:{self._name}",
             daemon=True,
         )
         proc.start()
         child_conn.close()
+        self._proc = proc
+        self._conn = parent_conn
         try:
-            try:
-                if not parent_conn.poll(self._start_timeout):
-                    raise RuntimeError(
-                        f"worker process for {self._dataset.name!r} did not become ready "
-                        f"within {self._start_timeout}s"
-                    )
-                kind, detail = parent_conn.recv()
-            except EOFError:
-                raise RuntimeError(
-                    f"worker process for {self._dataset.name!r} died during startup"
-                ) from None
+            parent_conn.send(("attach", self._published.worker_payload()))
+            kind, detail = self._recv_reply("startup")
             if kind != "ready":
                 raise RuntimeError(
-                    f"worker process for {self._dataset.name!r} failed to start: {detail}"
+                    f"worker process for {self._name!r} failed to start: {detail}"
                 )
         except BaseException:
             # a failed handshake must not leak the child or the pipe fd
-            parent_conn.close()
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(5)
+            self._teardown()
             raise
-        self._proc = proc
-        self._conn = parent_conn
         self.restarts += 1
         self.worker_info = detail if isinstance(detail, dict) else {}
+
+    def _ensure_worker(self) -> None:
+        if self._proc is None or not self._proc.is_alive():
+            # first use, or the previous message killed the worker
+            self._teardown()
+            self._spawn()
 
     def _teardown(self) -> None:
         if self._conn is not None:
@@ -429,10 +542,7 @@ class WorkerProcessExecutor:
 
     def _roundtrip(self, items: list[tuple]) -> list[tuple]:
         with self._lock:
-            if self._proc is None or not self._proc.is_alive():
-                # first use, or the previous batch killed the worker
-                self._teardown()
-                self._spawn()
+            self._ensure_worker()
             try:
                 self._conn.send(("batch", items))
                 return self._conn.recv()
@@ -443,7 +553,7 @@ class WorkerProcessExecutor:
                 log_event(
                     "worker_died",
                     level=logging.ERROR,
-                    dataset=self._dataset.name,
+                    dataset=self._name,
                     error=f"{type(exc).__name__}: {exc}",
                     restarts=max(self.restarts, 0),
                     batch_size=len(items),
@@ -453,9 +563,36 @@ class WorkerProcessExecutor:
                 )
                 self._teardown()
                 raise RuntimeError(
-                    f"worker process for {self._dataset.name!r} died mid-batch "
+                    f"worker process for {self._name!r} died mid-batch "
                     f"({type(exc).__name__}); it will be respawned"
                 ) from None
+
+    def _attach(self, published: Published, trace) -> None:
+        with self._lock:
+            # recorded first: whatever happens below, the next spawn loads it
+            self._published = published
+            if self._proc is None or not self._proc.is_alive():
+                self._teardown()  # the next batch spawns on the new snapshot
+                return
+            try:
+                self._conn.send(("attach", published.worker_payload()))
+                kind, detail = self._recv_reply("attach")
+            except Exception as exc:  # noqa: BLE001 - recovered by a respawn
+                kind, detail = "failed", f"{type(exc).__name__}: {exc}"
+            if kind == "ready" and isinstance(detail, dict):
+                self.worker_info = detail
+                return
+            # a worker that could not load the new snapshot must not serve
+            # the old one: stop it, and the next batch respawns it
+            log_event(
+                "worker_attach_failed",
+                level=logging.ERROR,
+                dataset=self._name,
+                error=str(detail),
+                restarts=max(self.restarts, 0),
+                trace_id=trace[0] if trace is not None else None,
+            )
+            self._teardown()
 
     def _stop(self) -> None:
         with self._lock:
@@ -471,13 +608,21 @@ class WorkerProcessExecutor:
     # -- the async surface ------------------------------------------------
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, lambda: self._roundtrip_ready())
+        await loop.run_in_executor(None, self._locked_ensure_worker)
 
-    def _roundtrip_ready(self) -> None:
+    def _locked_ensure_worker(self) -> None:
         with self._lock:
-            if self._proc is None or not self._proc.is_alive():
-                self._teardown()
-                self._spawn()
+            self._ensure_worker()
+
+    async def rebind(self, published: Published, trace=None) -> None:
+        """Hand the worker ``published``; it detaches the previous snapshot.
+
+        Never raises: a worker that dies or fails the hand-off is stopped
+        (logged with ``trace``'s id), and the next batch respawns it on
+        ``published``.
+        """
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._attach, published, trace)
 
     async def run_batch(self, requests: list[QueryRequest]) -> list[Outcome]:
         items = [

@@ -43,12 +43,12 @@ from ..graph import (
     index_path,
     load_index,
     save_index,
-    shared_memory_available,
 )
 from .executor import (
     EXECUTOR_KINDS,
     InlineExecutor,
     Outcome,
+    Published,
     WorkerProcessExecutor,
     as_protocol_error,
 )
@@ -122,6 +122,19 @@ ROUTING_POLICIES: dict[str, Callable[[], Any]] = {
 _STOP = object()  # queue sentinel that wakes a draining replica loop
 
 
+class _Barrier:
+    """Queue marker of an epoch hand-off: the replica rebinds its executor
+    to ``published`` here, after every request queued before it."""
+
+    __slots__ = ("published", "epoch", "trace", "done")
+
+    def __init__(self, published: Published, epoch: Optional[int], trace, done) -> None:
+        self.published = published
+        self.epoch = epoch
+        self.trace = trace
+        self.done: asyncio.Future = done
+
+
 class Replica:
     """One execution lane of a shard: queue, micro-batch loop, executor.
 
@@ -129,8 +142,12 @@ class Replica:
     drains whatever queued up while the previous batch ran (micro-batching,
     bounded by ``max_batch``), hands the batch to the executor off the
     event loop, and reports every outcome through the shard-owned
-    ``on_complete`` callback.  On drain it finishes the in-flight batch and
-    stops pulling new ones — requests still queued get structured errors.
+    ``on_complete`` callback, tagged with the epoch the batch ran on.  An
+    epoch barrier ends a micro-batch the way the stop sentinel does; the
+    loop then rebinds the executor to the new snapshot, so the queue's
+    FIFO order alone decides which epoch a request runs on.  On drain it
+    finishes the in-flight batch and stops pulling new ones — requests
+    still queued get structured errors.
     """
 
     def __init__(
@@ -142,9 +159,13 @@ class Replica:
         self.max_batch = max_batch
         self._telemetry = telemetry
         self._queue: asyncio.Queue = asyncio.Queue()
+        # a stop sentinel or barrier that ended a micro-batch, run next
+        self._held = None
+        self._queued = 0  # requests in the queue (markers excluded)
         self._task: Optional[asyncio.Task] = None
         self._on_complete: Optional[Callable] = None
         self._draining = False
+        self.epoch: Optional[int] = None  # the epoch the executor serves
         self.inflight = 0  # requests in the batch currently executing
         # statistics
         self.batches = 0
@@ -154,9 +175,10 @@ class Replica:
         self.max_queued = 0
 
     # -- wiring ------------------------------------------------------------
-    def bind(self, on_complete: Callable) -> None:
+    def bind(self, on_complete: Callable, epoch: Optional[int]) -> None:
         """Attach the shard's completion callback (cache/inflight/futures)."""
         self._on_complete = on_complete
+        self.epoch = epoch
 
     async def start(self) -> None:
         if self._task is not None:
@@ -169,44 +191,66 @@ class Replica:
     # -- the data path -----------------------------------------------------
     def qsize(self) -> int:
         """Requests queued on this replica, excluding the executing batch."""
-        size = self._queue.qsize()
-        # the drain sentinel is not a request
-        return size - 1 if self._draining and size else size
+        return self._queued
 
     @property
     def load(self) -> int:
         """Routing load: queued requests plus the in-flight batch."""
-        return self.qsize() + self.inflight
+        return self._queued + self.inflight
 
     def enqueue(self, request: QueryRequest, future: asyncio.Future) -> None:
         # the monotonic enqueue stamp feeds the queue-wait span of traced
         # requests (and is one cheap perf_counter read either way)
         self._queue.put_nowait((request, future, time.perf_counter()))
-        depth = self.qsize()
-        if depth > self.max_queued:
-            self.max_queued = depth
+        self._queued += 1
+        if self._queued > self.max_queued:
+            self.max_queued = self._queued
+
+    def post_barrier(
+        self, published: Published, epoch: Optional[int], trace=None
+    ) -> asyncio.Future:
+        """Queue the hand-off to ``published`` behind every queued request.
+
+        Returns a future that resolves once the executor serves it (at
+        once when the loop is not running: nothing will read the queue).
+        """
+        done = asyncio.get_running_loop().create_future()
+        if self._task is None or self._draining:
+            done.set_result(None)
+        else:
+            self._queue.put_nowait(_Barrier(published, epoch, trace, done))
+        return done
+
+    async def _next(self):
+        held, self._held = self._held, None
+        return held if held is not None else await self._queue.get()
 
     async def _loop(self) -> None:
         while True:
-            item = await self._queue.get()
+            item = await self._next()
             if item is _STOP:
                 break
+            if isinstance(item, _Barrier):
+                await self._rebind(item)
+                continue
             batch = [item]
             while len(batch) < self.max_batch:
                 try:
                     extra = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
                     break
-                if extra is _STOP:
-                    self._queue.put_nowait(_STOP)  # re-arm for after this batch
+                if not isinstance(extra, tuple):  # a stop or a barrier
+                    self._held = extra  # ends this batch, runs right after it
                     break
                 batch.append(extra)
+            self._queued -= len(batch)
             self.batches += 1
             if len(batch) > self.max_batch_size:
                 self.max_batch_size = len(batch)
             requests = [request for request, _future, _enqueued in batch]
             self._emit_queue_wait(batch)
             self.inflight = len(batch)
+            epoch = self.epoch
             try:
                 outcomes = await self.executor.run_batch(requests)
                 self.executed += len(batch)
@@ -238,9 +282,28 @@ class Replica:
             for (request, future, _enqueued), outcome in zip(batch, outcomes):
                 if isinstance(outcome, ProtocolError):
                     self.errors += 1
-                self._on_complete(request, future, outcome)
+                self._on_complete(epoch, request, future, outcome)
             if self._draining:
                 break
+
+    async def _rebind(self, barrier: _Barrier) -> None:
+        """Serve the barrier's snapshot from the next batch on."""
+        started = time.time()
+        self.epoch = barrier.epoch
+        try:
+            await self.executor.rebind(barrier.published, barrier.trace)
+        finally:
+            if not barrier.done.done():
+                barrier.done.set_result(None)
+        if barrier.trace is not None and self._telemetry is not None:
+            self._telemetry.tracer.emit(
+                barrier.trace,
+                "epoch.rebind",
+                started,
+                time.time(),
+                replica=self.index,
+                pid=self.executor.pid,
+            )
 
     def _emit_queue_wait(self, batch) -> None:
         """Span the time each traced request spent queued on this replica,
@@ -263,7 +326,9 @@ class Replica:
 
     def _fail_batch(self, batch, message: str) -> None:
         for request, future, _enqueued in batch:
-            self._on_complete(request, future, ProtocolError("internal_error", message))
+            self._on_complete(
+                self.epoch, request, future, ProtocolError("internal_error", message)
+            )
 
     # -- lifecycle ---------------------------------------------------------
     def signal_drain(self) -> None:
@@ -290,14 +355,22 @@ class Replica:
                 except asyncio.CancelledError:
                     pass
             self._task = None
-        # whatever is still queued was never started: structured errors
-        leftovers = []
+        # whatever is still queued was never started: structured errors;
+        # a pending barrier resolves unserved (the executor stops anyway)
+        items = [self._held] if self._held is not None else []
+        self._held = None
         while True:
             try:
-                item = self._queue.get_nowait()
+                items.append(self._queue.get_nowait())
             except asyncio.QueueEmpty:
                 break
-            if item is not _STOP:
+        self._queued = 0
+        leftovers = []
+        for item in items:
+            if isinstance(item, _Barrier):
+                if not item.done.done():
+                    item.done.set_result(None)
+            elif item is not _STOP:
                 leftovers.append(item)
         self._fail_batch(leftovers, "shard is shutting down; request was queued but not run")
         await self.executor.close()
@@ -319,107 +392,47 @@ class Replica:
 class ReplicaSet:
     """The replicas serving one dataset, plus their routing policy.
 
-    When built in ``shared`` snapshot mode the set also owns the exported
-    shared-memory segment: the host freezes once, :func:`share_frozen`
-    exports the CSR arrays, every process worker attaches zero-copy,
-    and :meth:`close` unlinks the segment after the last worker is gone —
-    the leak checks in CI assert exactly this lifecycle.
+    The set lives as long as its shard.  It owns the :class:`Published`
+    snapshot its executors serve — in ``shared`` snapshot mode that is the
+    exported shared-memory segments: the host freezes once, every process
+    worker attaches zero-copy.  A new epoch is handed over by
+    :meth:`publish`: an epoch barrier on every replica queue, and the
+    superseded snapshot's segments are unlinked once every replica has
+    rebound past it.  :meth:`close` unlinks the current ones after the
+    last worker is gone — the leak checks in CI assert exactly this
+    lifecycle.
     """
 
-    def __init__(
-        self,
-        replicas: list[Replica],
-        policy,
-        *,
-        snapshot_handle=None,
-        snapshot: str = "private",
-        index_handle=None,
-        index_effective: str = "executed",
-        index_reason: Optional[str] = None,
-        index_algorithms: tuple[str, ...] = (),
-    ) -> None:
+    def __init__(self, replicas: list[Replica], policy, published: Published) -> None:
         if not replicas:
             raise ValueError("a replica set needs at least one replica")
         self.replicas = replicas
         self.policy = policy
-        self._snapshot_handle = snapshot_handle
-        self.snapshot_mode = snapshot
-        self._index_handle = index_handle
-        self.index_effective = index_effective
-        self.index_reason = index_reason
-        self.index_algorithms = index_algorithms
+        self.published = published  # what the executors serve now
+        self._closed = False
 
     @classmethod
     def build(
         cls,
-        dataset: Dataset,
-        frozen: FrozenGraph,
+        name: str,
+        published: Published,
         *,
         key: str,
         count: int,
         executor: str,
         routing: str,
         max_batch: int,
-        snapshot: str = "private",
-        index=None,
-        index_reason: Optional[str] = None,
         telemetry=None,
     ) -> "ReplicaSet":
-        """Construct ``count`` replicas of ``dataset`` on the given strategy."""
-        if count < 1:
-            raise ValueError(f"replicas must be >= 1, got {count}")
-        if executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {executor!r}; choose from {', '.join(EXECUTOR_KINDS)}"
-            )
-        if routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {routing!r}; choose from "
-                f"{', '.join(sorted(ROUTING_POLICIES))}"
-            )
-        if snapshot not in SNAPSHOT_MODES:
-            raise ValueError(
-                f"unknown snapshot mode {snapshot!r}; choose from "
-                f"{', '.join(SNAPSHOT_MODES)}"
-            )
-        # export the snapshot once per shard when workers can attach it;
-        # inline replicas already share the host's frozen object in-process
-        snapshot_handle = None
-        effective = "private"
-        if snapshot == "shared" and executor == "process":
-            if shared_memory_available():
-                try:
-                    snapshot_handle = frozen.share()
-                    effective = "shared"
-                except (OSError, ValueError):  # graceful fallback: ship copies
-                    snapshot_handle = None
-        descriptor = snapshot_handle.descriptor if snapshot_handle is not None else None
-        # the community index is exported once per shard too: N process
-        # replicas on this host map ONE index segment, never N copies (a
-        # pickled copy per worker is the fallback where shm is unavailable)
-        index_handle = None
-        index_descriptor = None
-        index_copy = None
-        if index is not None and executor == "process":
-            if shared_memory_available():
-                try:
-                    index_handle = index.share()
-                    index_descriptor = index_handle.descriptor
-                except (OSError, ValueError):
-                    index_handle = None
-            if index_descriptor is None:
-                index_copy = index
+        """Construct ``count`` replicas serving ``published`` (the
+        executor kind and routing policy are validated by the caller)."""
         replicas = []
         for replica_index in range(count):
             if executor == "inline":
-                engine_executor = InlineExecutor(frozen, index=index, telemetry=telemetry)
+                engine_executor = InlineExecutor(published, telemetry=telemetry)
             else:
                 engine_executor = WorkerProcessExecutor(
-                    dataset,
-                    descriptor=descriptor,
-                    index_descriptor=index_descriptor,
-                    index=index_copy,
-                    telemetry=telemetry,
+                    name, published, telemetry=telemetry
                 )
             replicas.append(
                 Replica(
@@ -430,18 +443,7 @@ class ReplicaSet:
                     telemetry=telemetry,
                 )
             )
-        return cls(
-            replicas,
-            ROUTING_POLICIES[routing](),
-            snapshot_handle=snapshot_handle,
-            snapshot=effective,
-            index_handle=index_handle,
-            index_effective="indexed" if index is not None else "executed",
-            index_reason=index_reason,
-            index_algorithms=(
-                index.served_algorithms() if index is not None else ()
-            ),
-        )
+        return cls(replicas, ROUTING_POLICIES[routing](), published)
 
     def __len__(self) -> int:
         return len(self.replicas)
@@ -450,12 +452,34 @@ class ReplicaSet:
     def executor_kind(self) -> str:
         return self.replicas[0].executor.kind
 
-    def bind(self, on_complete: Callable) -> None:
+    def publish(self, published: Published, epoch: int, trace=None):
+        """Hand every replica ``published`` at an in-queue epoch barrier.
+
+        Synchronous up to the barriers, so a caller's atomic block can
+        include it: every request queued before this call runs on the old
+        snapshot, every one after it on the new.  Returns an awaitable that
+        resolves once every replica has rebound; by then the superseded
+        snapshot's segments are unlinked.
+        """
+        superseded, self.published = self.published, published
+        barriers = [
+            replica.post_barrier(published, epoch, trace) for replica in self.replicas
+        ]
+        return self._retire(superseded, barriers)
+
+    async def _retire(self, superseded: Published, barriers) -> None:
+        await asyncio.gather(*barriers)
+        superseded.close()
+        if self._closed:  # a close raced the hand-off: nothing serves it
+            self.published.close()
+
+    # -- wiring + routing ---------------------------------------------------
+    def bind(self, on_complete: Callable, epoch: Optional[int]) -> None:
         for replica in self.replicas:
-            replica.bind(on_complete)
+            replica.bind(on_complete, epoch)
 
     async def start(self) -> None:
-        # concurrent executor startup: N process replicas spawn and freeze
+        # concurrent executor startup: N process replicas spawn and attach
         # their snapshots in max(one spawn), not sum
         await asyncio.gather(*(replica.start() for replica in self.replicas))
 
@@ -474,28 +498,16 @@ class ReplicaSet:
         return sum(replica.load for replica in self.replicas)
 
     async def close(self, drain: bool = True) -> None:
+        self._closed = True
         if drain:
             # wake every loop first so in-flight batches drain concurrently
             for replica in self.replicas:
                 replica.signal_drain()
         for replica in self.replicas:
             await replica.close(drain=drain)
-        if self._snapshot_handle is not None:
-            # every worker is gone now: drop the owner mapping and unlink the
-            # name so the kernel reclaims the segment (both are idempotent)
-            try:
-                self._snapshot_handle.close()
-                self._snapshot_handle.unlink()
-            except OSError:
-                pass
-            self._snapshot_handle = None
-        if self._index_handle is not None:
-            try:
-                self._index_handle.close()
-                self._index_handle.unlink()
-            except OSError:
-                pass
-            self._index_handle = None
+        # every worker is gone now: drop the owner mappings and unlink the
+        # names so the kernel reclaims the segments (both are idempotent)
+        self.published.close()
 
     def index_hits(self) -> int:
         """Queries answered from the index windows, summed over replicas."""
@@ -690,8 +702,17 @@ class Placement:
             # prepared epoch carries a rebuilt successor, so mutations never
             # stale the index tier
             manager.bind_index(index)
-        replica_set = self._build_replica_set(
-            dataset, frozen, key=key, index=index, index_reason=index_reason
+        replica_set = ReplicaSet.build(
+            dataset.name,
+            Published(
+                frozen, index, index_reason, executor=self.executor, snapshot=self.snapshot
+            ),
+            key=key,
+            count=self.replicas_for(key),
+            executor=self.executor,
+            routing=self.routing,
+            max_batch=self._options["max_batch"],
+            telemetry=self.telemetry,
         )
         shard = Shard(
             dataset,
@@ -706,23 +727,6 @@ class Placement:
         if manager is not None:
             self._managers[key] = manager
         return shard
-
-    def _build_replica_set(
-        self, dataset: Dataset, frozen: FrozenGraph, *, key: str, index, index_reason
-    ) -> ReplicaSet:
-        return ReplicaSet.build(
-            dataset,
-            frozen,
-            key=key,
-            count=self.replicas_for(key),
-            executor=self.executor,
-            routing=self.routing,
-            max_batch=self._options["max_batch"],
-            snapshot=self.snapshot,
-            index=index,
-            index_reason=index_reason,
-            telemetry=self.telemetry,
-        )
 
     async def get_shard(self, name: str) -> Shard:
         shard = self._shards.get(name)
@@ -759,13 +763,13 @@ class Placement:
 
         One mutation at a time per dataset (an asyncio lock): the epoch
         manager prepares the new snapshot off the event loop — rebuilding
-        its bound community index along the way — the new index file
-        is republished atomically (tmp + rename) and a fresh replica set
-        built on it, and only then is the shard swapped (workers re-attach
-        the new index segment on swap).  Datasets that never had an index
-        reload per the placement policy instead.  Queries keep flowing
-        against the old epoch for the whole build; the swap itself is
-        atomic between micro-batches.
+        its bound community index along the way — the new index file is
+        republished atomically (tmp + rename) and the snapshot and index
+        are shared once per host.  Only then is the shard swapped: its
+        long-lived replicas rebind to the new snapshot at an epoch barrier
+        in their queues, and no worker process is started.  Datasets that
+        never had an index reload per the placement policy instead.
+        Queries keep flowing against the old epoch for the whole build.
         """
         if not self.epochs:
             raise ProtocolError(
@@ -777,10 +781,11 @@ class Placement:
         manager = self._managers[shard.key]
         lock = self._mutation_locks.setdefault(name, asyncio.Lock())
         loop = asyncio.get_running_loop()
+        traced = trace is not None and self.telemetry is not None
         async with lock:
             prepared = await loop.run_in_executor(None, manager.prepare, batch, trace)
 
-            def _stage() -> ReplicaSet:
+            def _stage() -> Published:
                 prepared.frozen.csr.adjacency_lists()
                 if prepared.index is not None:
                     # the manager rebuilt the index off the serving path;
@@ -793,22 +798,25 @@ class Placement:
                     index, index_reason = self.load_shard_index(
                         name, prepared.frozen, epoch=prepared.epoch
                     )
-                return self._build_replica_set(
-                    shard.dataset,
+                return Published(
                     prepared.frozen,
-                    key=name,
-                    index=index,
-                    index_reason=index_reason,
+                    index,
+                    index_reason,
+                    executor=self.executor,
+                    snapshot=self.snapshot,
                 )
 
-            replica_set = await loop.run_in_executor(None, _stage)
+            published = await loop.run_in_executor(None, _stage)
             commit_started = time.time()
+            commit_trace = trace.child() if traced else None
             manager.commit(prepared)
-            await shard.swap(prepared.frozen, replica_set, epoch=prepared.epoch)
-            if trace is not None and self.telemetry is not None:
-                # the commit + atomic swap, from the traced mutation's view
-                self.telemetry.tracer.emit(
+            await shard.swap(published, epoch=prepared.epoch, trace=commit_trace)
+            if traced:
+                # the commit + atomic swap + every replica's rebind, from
+                # the traced mutation's view
+                self.telemetry.tracer.emit_as(
                     trace,
+                    commit_trace,
                     "epoch.commit",
                     commit_started,
                     time.time(),

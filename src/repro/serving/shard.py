@@ -10,7 +10,7 @@ request-lifecycle logic every replica strategy shares:
   (k-core structures, the full truss decomposition, per-``k`` truss
   components, kecc partitions, ...) amortises across *requests* the same
   way ``evaluate_batch`` amortises it across a sweep (worker-process
-  replicas freeze their own private snapshot instead);
+  replicas attach it, or load a private copy, with a private memo cache);
 * an **LRU result cache** keyed by ``(epoch, request identity)`` — repeated
   queries are answered without touching any replica, and a republished
   snapshot (see :mod:`repro.dynamic`) can never serve a result computed
@@ -110,7 +110,7 @@ class Shard:
         # actually costs, which ~0ms cache hits would wash out
         self.execution_hist = Histogram()
         self._telemetry = telemetry
-        self._bind(replica_set, epoch)
+        replica_set.bind(self._complete, epoch)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -131,29 +131,20 @@ class Shard:
         await self.replica_set.close(drain=drain)
         self._started = False
 
-    def _bind(self, replica_set, epoch: Optional[int]) -> None:
-        """Bind a replica set's completions to this shard, tagged with the
-        epoch the set serves — a completion's cache key must name the epoch
-        the result was computed against, not whatever is current when the
-        executor finishes."""
-        replica_set.bind(
-            lambda request, future, outcome, _epoch=epoch: self._complete(
-                _epoch, request, future, outcome
-            )
-        )
-
-    async def swap(self, frozen: FrozenGraph, replica_set, *, epoch: int) -> None:
+    async def swap(self, published, *, epoch: int, trace=None) -> None:
         """Atomically republish this shard under a new snapshot epoch.
 
-        The new replica set is started first; the pointer swap plus the
-        purge of superseded cache/in-flight entries then happens with no
-        awaits in between, so from the event loop's point of view the shard
-        moves between micro-batches: every request admitted before this
-        call resolves against the old snapshot (and reports the old epoch),
-        every request admitted after it runs against the new one.  The old
-        replica set is drained and closed last — its in-flight batches
-        finish for their waiting clients, and its shared-memory snapshot
-        segment is unlinked.
+        The pointer swap, the purge of superseded cache/in-flight entries
+        and an epoch barrier on every replica queue happen with no awaits
+        in between, so from the event loop's point of view the shard moves
+        between micro-batches: every request admitted before this call is
+        queued ahead of the barrier and resolves against the old snapshot
+        (and reports the old epoch), every request admitted after it runs
+        against the new one.  The replicas, their loops and their worker
+        processes stay; each rebinds its executor at the barrier.  The call
+        returns once every replica has rebound and the superseded shared
+        segments are unlinked.  ``trace`` parents the ``epoch.swap`` and
+        ``epoch.rebind`` spans.
         """
         if self.epoch is None:
             raise ValueError(f"shard {self.key!r} was built without epochs")
@@ -162,12 +153,9 @@ class Shard:
                 f"epoch must advance monotonically: shard {self.key!r} serves "
                 f"{self.epoch}, got {epoch}"
             )
-        self._bind(replica_set, epoch)
-        await replica_set.start()
-        old_set = self.replica_set
+        started = time.time()
         # -- no awaits in this block: the swap is atomic between batches --
-        self.replica_set = replica_set
-        self.frozen = frozen
+        self.frozen = published.frozen
         self.epoch = epoch
         stale_cached = [key for key in self._cache if key[0] != epoch]
         for key in stale_cached:
@@ -180,8 +168,13 @@ class Shard:
             del self._inflight[key]
         self.purged_entries += len(stale_cached) + len(stale_inflight)
         self.swaps += 1
+        rebound = self.replica_set.publish(published, epoch, trace)
         # -- end of the atomic block --
-        await old_set.close(drain=True)
+        if trace is not None and self._telemetry is not None:
+            self._telemetry.tracer.emit(
+                trace, "epoch.swap", started, time.time(), dataset=self.key, epoch=epoch
+            )
+        await rebound
 
     # ------------------------------------------------------------------
     # the request path
@@ -312,9 +305,9 @@ class Shard:
     ) -> None:
         """Replica callback: resolve one request's future and bookkeeping.
 
-        ``epoch`` is the epoch of the replica set that executed the request
-        (bound at :meth:`_bind` time), so completions arriving after a swap
-        key — and guard — against the epoch they were computed on.
+        ``epoch`` is the epoch the replica's executor served when it ran
+        the request, so completions arriving after a swap key — and guard
+        — against the epoch they were computed on.
         """
         key = (epoch, request.cache_key)
         if isinstance(outcome, ProtocolError):
@@ -348,22 +341,17 @@ class Shard:
     # ------------------------------------------------------------------
     def _index_stats(self) -> dict[str, Any]:
         """The shard's index tier: effective mode, hit count, what it serves,
-        and the fallback reason when part (or all) of the tier is degraded —
-        e.g. a pre-v2 index file whose edge-hierarchy algorithms execute."""
+        and the fallback reason when the tier is degraded (e.g. a missing
+        or stale index file under ``--index auto``)."""
+        published = self.replica_set.published
         info: dict[str, Any] = {
-            "effective": getattr(self.replica_set, "index_effective", "executed"),
-            "hits": (
-                self.replica_set.index_hits()
-                if hasattr(self.replica_set, "index_hits")
-                else 0
-            ),
+            "effective": "indexed" if published.index is not None else "executed",
+            "hits": self.replica_set.index_hits(),
         }
-        algorithms = getattr(self.replica_set, "index_algorithms", ())
-        if algorithms:
-            info["algorithms"] = list(algorithms)
-        reason = getattr(self.replica_set, "index_reason", None)
-        if reason is not None:
-            info["reason"] = reason
+        if published.index_algorithms:
+            info["algorithms"] = list(published.index_algorithms)
+        if published.index_reason is not None:
+            info["reason"] = published.index_reason
         return info
 
     def stats(self) -> dict[str, Any]:
@@ -387,7 +375,7 @@ class Shard:
             "nodes": self.frozen.number_of_nodes(),
             "edges": self.frozen.number_of_edges(),
             "executor": self.replica_set.executor_kind,
-            "snapshot": self.replica_set.snapshot_mode,
+            "snapshot": self.replica_set.published.snapshot_mode,
             "index": self._index_stats(),
             "routing": self.replica_set.policy.name,
             "replica_count": len(self.replica_set),

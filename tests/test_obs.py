@@ -398,12 +398,25 @@ class TestMutationTrace:
         trace = tracer.sample_request()
         prepared = manager.prepare(DeltaBatch().add_edge(0, 9), trace)
         by_name = _span_index(tracer.spans(trace.trace_id))
-        assert set(by_name) == {"epoch.prepare", "epoch.index"}
-        index_span = by_name["epoch.index"]
-        assert index_span["parent"] == trace.span_id
+        stages = (
+            "epoch.copy",
+            "epoch.apply",
+            "epoch.freeze",
+            "epoch.edge_index",
+            "epoch.core_support",
+            "epoch.truss",
+            "epoch.index",
+        )
+        assert set(by_name) == {"epoch.prepare", *stages}
         prepare_span = by_name["epoch.prepare"]
-        assert prepare_span["start"] <= index_span["start"] <= index_span["end"]
-        assert index_span["end"] <= prepare_span["end"]
+        assert prepare_span["parent"] == trace.span_id
+        previous_end = prepare_span["start"]
+        for name in stages:  # children of prepare, in order, inside it
+            span = by_name[name]
+            assert span["parent"] == prepare_span["span"], name
+            assert previous_end <= span["start"] <= span["end"], name
+            previous_end = span["end"]
+        assert previous_end <= prepare_span["end"]
         assert prepared.index is not None and prepared.index_seconds > 0.0
 
 
