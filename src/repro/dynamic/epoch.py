@@ -23,9 +23,10 @@ long-lived replicas at the swap):
 The primed memo entries are exactly the values a from-scratch freeze would
 derive lazily (same list orders, same canonical dict keys), which is the
 bit-identical parity contract the tests and the ``dynamic-smoke`` CI job
-enforce.  The truss decomposition is re-peeled at publish time, *seeded*
-with the maintained supports, so the dominant triangle-counting pass never
-reruns on the incremental path.
+enforce.  The truss decomposition is re-peeled at publish time: seeded with
+the maintained supports on the pure-python tier; on the numpy tier the
+vectorised peel recounts triangles (cheaper than converting the support
+dict), and the canonical support dict is left to its lazy memo.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from ..graph.csr import FrozenGraph, csr_core_numbers, freeze
 from ..graph.csr_truss import csr_edge_index, csr_edge_support, csr_truss_numbers
 from ..graph.graph import Edge, Graph, Node
 from ..graph.index import CommunityIndex, _assemble_index
-from ..graph.trussness import _edge_value_dict
+from ..graph.trussness import _edge_value_dict, edge_support
+from ..graph.vec_kernels import vec_enabled
 from .delta import DeltaBatch
 from .incremental import apply_op
 
@@ -134,7 +136,7 @@ class EpochManager:
         self.threshold = threshold
         self.epoch = epoch
         # optional observability hook (a repro.obs.trace.Tracer): when set,
-        # traced mutations get epoch.prepare / epoch.index spans
+        # a traced prepare gets an epoch.prepare span with per-stage children
         self.tracer = None
         self.frozen = frozen if frozen is not None else freeze(graph)
         self._graph = graph
@@ -171,11 +173,8 @@ class EpochManager:
             csr = self.frozen.csr
             cache = self.frozen.shared_cache()
             core_list = cache.memo(("csr-core-numbers",), lambda: csr_core_numbers(csr))
-            index = cache.memo(("csr-edge-index",), lambda: csr_edge_index(csr))
             self._core = dict(zip(csr.node_list, core_list))
-            self._support = _edge_value_dict(
-                self.frozen, index, csr_edge_support(csr, index)
-            )
+            self._support = edge_support(self.frozen)  # the memo; never mutated
         return self._core, self._support
 
     # ------------------------------------------------------------------
@@ -221,40 +220,34 @@ class EpochManager:
         with stage("epoch.edge_index"):
             index = csr_edge_index(csr)
         with stage("epoch.core_support"):
-            if incremental:
-                node_list = csr.node_list
-                core_list = [core[node] for node in node_list]
-                reprs = [repr(node) for node in node_list]
-                eu, ev = index.eu, index.ev
-                support_list = []
-                for e in range(index.num_edges):
-                    i, j = eu[e], ev[e]
-                    key = (
-                        (node_list[i], node_list[j])
-                        if reprs[i] <= reprs[j]
-                        else (node_list[j], node_list[i])
-                    )
-                    support_list.append(support[key])
-                support_values = _edge_value_dict(frozen, index, support_list)
-            else:
+            support_list = support_values = None
+            if not incremental:
                 core_list = csr_core_numbers(csr)
                 support_list = csr_edge_support(csr, index)
                 core = dict(zip(csr.node_list, core_list))
                 support_values = _edge_value_dict(frozen, index, support_list)
                 support = dict(support_values)
+            else:
+                core_list = [core[node] for node in csr.node_list]
+                if not vec_enabled():
+                    # the pure-python peel takes the maintained supports as
+                    # its seed; the vec peel reads them off its triangle table
+                    keys = _edge_value_dict(frozen, index, range(index.num_edges))
+                    support_values = {key: support[key] for key in keys}
+                    support_list = list(support_values.values())
         with stage("epoch.truss"):
-            truss_list = csr_truss_numbers(
-                csr, index, support=support_list if incremental else None
-            )
+            truss_list = csr_truss_numbers(csr, index, support=support_list)
         # prime the new snapshot's memo cache with the maintained values —
         # the exact base keys the lazy paths would fill; every derived
         # format (core dicts, truss dicts, k-core structures) computes
         # through these, so serving the new epoch never re-derives what the
-        # incremental repair already knows
+        # incremental repair already knows.  The canonical support dict is
+        # primed only if built here; else its lazy memo derives it on demand.
         cache = frozen.shared_cache()
         cache[("csr-core-numbers",)] = list(core_list)
         cache[("csr-edge-index",)] = index
-        cache[("edge-support",)] = support_values
+        if support_values is not None:
+            cache[("edge-support",)] = support_values
         cache[("csr-edge-truss",)] = list(truss_list)
         # rebuild the bound community index from the decompositions just
         # computed, off the serving path, so it is never stale

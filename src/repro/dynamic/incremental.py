@@ -20,9 +20,10 @@ single-edge insertions and deletions, exactly:
 Both structures are maintained *exactly* (no approximation, no deferred
 repair), which is what lets the epoch layer publish snapshots that are
 bit-identical to a from-scratch freeze — the CI parity gate for this
-subsystem.  Trussness itself is re-peeled at publish time, seeded with the
-maintained supports (see :func:`repro.graph.csr_truss.csr_truss_numbers`),
-so the triangle-counting pass — the dominant cost — is never repeated.
+subsystem.  Trussness is re-peeled at publish time; the pure-python peel
+is seeded with the maintained supports and skips its triangle count, while
+the numpy tier's vectorised peel recounts from its triangle table (see
+:mod:`repro.dynamic.epoch`).
 
 All functions mutate ``graph``, ``core`` (node → core number) and
 ``support`` (canonical edge → triangle count) in place; the epoch manager

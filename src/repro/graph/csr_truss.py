@@ -7,8 +7,9 @@ cost of batched sweeps.  This module is the CSR counterpart:
 
 * :class:`CSREdgeIndex` — a per-snapshot numbering of the undirected edges
   (one id per edge, in the exact order :meth:`Graph.iter_edges` yields them)
-  with endpoint arrays, a position→edge-id map and per-node neighbour→edge-id
-  dicts for O(1) triangle lookups;
+  with endpoint arrays and a position→edge-id map (numpy-built on the vec
+  tier), plus per-node neighbour→edge-id dicts for the pure-python peel's
+  O(1) triangle lookups, derived only when first read;
 * :func:`csr_edge_support` — triangle counting via merge-based neighbour
   intersection over sorted ``indices`` (each triangle found once at its
   lowest-ranked edge, then credited to all three edges);
@@ -48,12 +49,23 @@ class CSREdgeIndex:
     Edge ids follow :meth:`Graph.iter_edges` order — each undirected edge is
     numbered at the adjacency row of whichever endpoint appears first in the
     node order — so dict-keyed and id-indexed edge results line up without
-    any sorting.
+    any sorting.  The flat ``eu`` / ``ev`` / ``edge_id`` tables are numpy-built
+    on the vec tier, which derives the per-node ``edge_of`` / ``incident``
+    tables (read by the pure-python kernels only) on first access.
     """
 
-    __slots__ = ("num_edges", "eu", "ev", "edge_id", "edge_of", "incident", "_vec_cache")
+    __slots__ = ("num_edges", "eu", "ev", "edge_id", "_edge_of", "_incident", "_csr", "_vec_cache")
 
     def __init__(self, csr: CSRGraph) -> None:
+        from . import vec_kernels
+
+        self._csr = csr
+        self._vec_cache = None  # numpy edge tables (vec_kernels)
+        self._edge_of = self._incident = None
+        if vec_kernels.vec_enabled():
+            self.eu, self.ev, self.edge_id = vec_kernels.vec_edge_numbering(csr, self)
+            self.num_edges = len(self.eu)
+            return
         indptr = csr.indptr
         indices = csr.indices
         n = csr.number_of_nodes()
@@ -88,9 +100,21 @@ class CSREdgeIndex:
         self.eu = eu
         self.ev = ev
         self.edge_id = edge_id
-        self.edge_of = edge_of
-        self.incident = incident
-        self._vec_cache = None  # numpy edge tables (vec_kernels)
+        self._edge_of = edge_of
+        self._incident = incident
+
+    edge_of = property(lambda self: self._tables()[0], doc="Per node, neighbour → edge id.")
+    incident = property(
+        lambda self: self._tables()[1], doc="Per node, (edge id, neighbour) in adjacency order."
+    )
+
+    def _tables(self):
+        if self._incident is None:
+            rows, indptr = self._csr.adjacency_lists(), self._csr.indptr
+            row_ids = [self.edge_id[a:b].tolist() for a, b in zip(indptr, indptr[1:])]
+            self._edge_of = [dict(zip(row, eids)) for row, eids in zip(rows, row_ids)]
+            self._incident = [list(zip(eids, row)) for row, eids in zip(rows, row_ids)]
+        return self._edge_of, self._incident
 
 
 def csr_edge_index(csr: CSRGraph) -> CSREdgeIndex:
@@ -220,17 +244,16 @@ def csr_truss_numbers(
 
     ``support`` optionally seeds the peel with already-known per-edge-id
     triangle counts (the dynamic tier maintains them incrementally across
-    epochs), skipping the triangle-counting pass — the dominant cost.  The
-    seed must equal what :func:`csr_edge_support` would return; the peel is
-    a pure function of the supports, so the result is identical.
+    epochs), skipping this peel's triangle-counting pass.  The seed must
+    equal what :func:`csr_edge_support` would return; the peel is a pure
+    function of the supports, so the result is identical.
     """
     if index is None:
         index = csr_edge_index(csr)
-    if support is None:
-        from . import vec_kernels
+    from . import vec_kernels
 
-        if vec_kernels.vec_enabled():
-            return vec_kernels.vec_truss_numbers(csr, index, alive)
+    if vec_kernels.vec_enabled():
+        return vec_kernels.vec_truss_numbers(csr, index, alive, support)
     m = index.num_edges
     truss = [-1] * m
     if m == 0:

@@ -44,6 +44,7 @@ from collections.abc import Mapping, Sequence
 from pathlib import Path
 from typing import Any, Optional
 
+from . import vec_kernels
 from .csr import CSRGraph, FrozenGraph, csr_connected_components, csr_core_numbers, freeze
 from .csr_truss import csr_edge_index, csr_truss_numbers
 from .graph import Graph, GraphError, Node
@@ -255,12 +256,38 @@ def _inc_max_truss(csr: CSRGraph, edge_id, truss) -> array:
     return inc_max
 
 
+def _hierarchy_layout(csr: CSRGraph, edge_id, core, truss):
+    """Per-level components, laminar orders and windows of both families.
+
+    Returns ``(inc_max, core levels 1..kmax as member lists, core counts,
+    truss counts, core regions, truss regions)``, as the vec twin does.
+    """
+    inc_max = _inc_max_truss(csr, edge_id, truss)
+    core_levels = []
+    for k in range(max(core, default=0) + 1):
+        alive = None if k == 0 else bytearray(1 if c >= k else 0 for c in core)
+        core_levels.append(csr_connected_components(csr, alive=alive))
+    # truss level 0 is the plain connected components (isolated nodes
+    # included) — the hightruss fallback's "whole component at level 2";
+    # level index k-1 holds the k-truss components for k = 2..kmax.
+    truss_levels = [csr_connected_components(csr)]
+    for k in range(2, max(inc_max, default=1) + 1):
+        truss_levels.append(_truss_level_components(csr, edge_id, truss, inc_max, k))
+    regions = []
+    for levels in (core_levels, truss_levels):
+        order, pos = _laminar_order(len(csr.node_list), levels)
+        regions.append((order, pos, *_level_windows(pos, levels)))
+    counts = [[len(level) for level in levels] for levels in (core_levels, truss_levels)]
+    return (inc_max, core_levels[1:], *counts, *regions)
+
+
 def _kecc_labels(
     frozen: FrozenGraph, core_levels, cap: int
 ) -> tuple[array, list[int]]:
     """Flat per-core-level kecc class labels (see ``_FIELDS``).
 
-    Level ``k`` (1..core_kmax) occupies ``[(k-1)*n, k*n)``.  Each level-k
+    ``core_levels`` holds the component member lists of core levels
+    1..core_kmax; level ``k`` occupies ``[(k-1)*n, k*n)``.  Each level-k
     core component up to ``cap`` nodes is partitioned into its
     k-edge-connected components (through the memoised baseline partition, so
     a later executed ``kecc`` query reuses the entry); labels are numbered
@@ -276,7 +303,7 @@ def _kecc_labels(
     n = len(node_list)
     labels = array(_FIELD_TYPECODE, bytes(0))
     counts: list[int] = []
-    for level in core_levels[1:]:
+    for level in core_levels:
         level_labels = array(_FIELD_TYPECODE, [-1] * n)
         next_label = 0
         for component in level:
@@ -320,64 +347,30 @@ def _assemble_index(
 
     csr = frozen.csr
     node_list = csr.node_list
-    n = len(node_list)
-    edge_id = edge_index.edge_id
-
-    inc_max = _inc_max_truss(csr, edge_id, truss)
+    if vec_kernels.vec_enabled():
+        layout = vec_kernels.vec_hierarchy_layout(csr, edge_index, core, truss)
+    else:
+        layout = _hierarchy_layout(csr, edge_index.edge_id, core, truss)
+    inc_max, core_members, core_counts, truss_counts, core_regions, truss_regions = layout
+    kecc_label, kecc_counts = _kecc_labels(frozen, core_members, KECC_APPROXIMATE_ABOVE)
     node_truss = array(_FIELD_TYPECODE, (b if b >= 2 else 2 for b in inc_max))
-    node_core = array(_FIELD_TYPECODE, core)
-
-    core_kmax = max(core, default=0)
-    truss_kmax = max(inc_max, default=1)
-
-    core_levels = []
-    for k in range(core_kmax + 1):
-        alive = None if k == 0 else bytearray(1 if c >= k else 0 for c in core)
-        core_levels.append(csr_connected_components(csr, alive=alive))
-
-    # truss level 0 is the plain connected components (isolated nodes
-    # included) — the hightruss fallback's "whole component at level 2";
-    # level index k-1 holds the k-truss components for k = 2..kmax.
-    truss_levels = [csr_connected_components(csr)]
-    for k in range(2, truss_kmax + 1):
-        truss_levels.append(_truss_level_components(csr, edge_id, truss, inc_max, k))
-
-    kecc_label, kecc_counts = _kecc_labels(frozen, core_levels, KECC_APPROXIMATE_ABOVE)
-    core_order, core_pos = _laminar_order(n, core_levels)
-    core_ptr, core_start, core_end = _level_windows(core_pos, core_levels)
-    truss_order, truss_pos = _laminar_order(n, truss_levels)
-    truss_ptr, truss_start, truss_end = _level_windows(truss_pos, truss_levels)
+    regions = (array(_FIELD_TYPECODE, core), node_truss, *core_regions, *truss_regions, kecc_label)
 
     meta: dict[str, Any] = {
         "format_version": INDEX_FORMAT_VERSION,
         "digest": dataset_digest(frozen),
         "dataset": dataset,
-        "nodes": n,
+        "nodes": len(node_list),
         "edges": csr.num_edges,
-        "core_kmax": core_kmax,
-        "truss_kmax": truss_kmax,
-        "core_counts": [len(level) for level in core_levels],
-        "truss_counts": [len(level) for level in truss_levels],
+        "core_kmax": max(core, default=0),
+        "truss_kmax": max(inc_max, default=1),
+        "core_counts": core_counts,
+        "truss_counts": truss_counts,
         "kecc_cap": KECC_APPROXIMATE_ABOVE,
         "kecc_counts": list(kecc_counts),
         "build_seconds": time.perf_counter() - started,
     }
-    fields = {
-        "node_core": node_core,
-        "node_truss": node_truss,
-        "core_order": core_order,
-        "core_pos": core_pos,
-        "core_ptr": core_ptr,
-        "core_start": core_start,
-        "core_end": core_end,
-        "truss_order": truss_order,
-        "truss_pos": truss_pos,
-        "truss_ptr": truss_ptr,
-        "truss_start": truss_start,
-        "truss_end": truss_end,
-        "kecc_label": kecc_label,
-    }
-    index = CommunityIndex(meta, list(node_list), fields)
+    index = CommunityIndex(meta, list(node_list), dict(zip(_FIELDS, regions)))
     index._index_of = csr.index_of
     return index
 

@@ -2,9 +2,10 @@
 
 The pure-python CSR kernels (:mod:`repro.graph.csr`,
 :mod:`repro.graph.csr_truss`) pay a Python-level loop iteration per edge
-touch.  This module provides vectorised twins for the three kernels that
-dominate serving traffic — multi-source BFS, edge-support counting and
-truss peeling — as an *optional* tier:
+touch.  This module provides vectorised twins for the kernels that dominate
+serving traffic and the epoch write path — multi-source BFS, edge
+numbering, edge-support counting, truss peeling and the community-index
+hierarchy layout — as an *optional* tier:
 
 * numpy is an extra (``pip install -e ".[vec]"``), never a hard
   dependency: without it every entry point below reports unavailable and
@@ -16,10 +17,11 @@ truss peeling — as an *optional* tier:
   tests use to compare both tiers;
 * every kernel is **bit-identical** to its CSR reference: the BFS
   preserves exact discovery order (np.unique's first-occurrence indices,
-  re-sorted, reproduce the sequential frontier order), and support /
-  truss values are order-independent graph invariants, so the
+  re-sorted, reproduce the sequential frontier order), support / truss
+  values are order-independent graph invariants, so the
   level-synchronous peel returns exactly what the sequential bucket
-  queue returns.
+  queue returns, and component labels are ranked by min member index,
+  which is the sequential sweep's first-seen order.
 
 The kernels read the CSR's ``indptr`` / ``indices`` buffers through
 ``np.frombuffer`` — zero-copy whether the buffers are private ``array``
@@ -31,6 +33,7 @@ processes BFS over literally the same bytes.
 from __future__ import annotations
 
 import os
+from array import array
 from typing import Optional
 
 from .graph import GraphError
@@ -40,8 +43,10 @@ __all__ = [
     "vec_enabled",
     "set_vec_enabled",
     "vec_multi_source_bfs",
+    "vec_edge_numbering",
     "vec_edge_support",
     "vec_truss_numbers",
+    "vec_hierarchy_layout",
 ]
 
 _numpy = None
@@ -111,6 +116,11 @@ def _csr_arrays(csr):
     return cached
 
 
+def _as_long_array(np, values) -> array:
+    """A numpy integer vector as an ``array("l")`` (the CSR tables' typecode)."""
+    return array("l", np.ascontiguousarray(values, dtype=f"i{array('l').itemsize}").tobytes())
+
+
 def _alive_mask(np, alive, n):
     if alive is None:
         return None
@@ -177,8 +187,34 @@ def vec_multi_source_bfs(csr, sources, alive=None):
 
 
 # ----------------------------------------------------------------------------
-# edge support (triangle counts)
+# edge numbering and edge support (triangle counts)
 # ----------------------------------------------------------------------------
+
+
+def vec_edge_numbering(csr, index):
+    """Vectorised :class:`~repro.graph.csr_truss.CSREdgeIndex` numbering.
+
+    Forward positions (``row < neighbour``) get sequential ids; back
+    positions resolve through an argsort of the forward ``eu * n + ev``
+    keys (CSR rows are in insertion order, not sorted).  Returns ``(eu,
+    ev, edge_id)`` as ``array("l")`` and caches the key table on ``index``.
+    """
+    np = _np()
+    n = csr.number_of_nodes()
+    indptr, indices = _csr_arrays(csr)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    dst = indices.astype(np.int64)
+    forward = src < dst
+    eu, ev = src[forward], dst[forward]
+    keys = eu * n + ev
+    key_order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[key_order]
+    edge_id = np.empty(dst.size, dtype=np.int64)
+    edge_id[forward] = np.arange(eu.size)
+    back = ~forward
+    edge_id[back] = key_order[np.searchsorted(sorted_keys, dst[back] * n + src[back])]
+    _vec_cache(index)["edges"] = (eu, ev, sorted_keys, key_order)
+    return _as_long_array(np, eu), _as_long_array(np, ev), _as_long_array(np, edge_id)
 
 
 def _vec_cache(index):
@@ -190,22 +226,11 @@ def _vec_cache(index):
 
 
 def _edge_data(np, csr, index):
-    """Per-(csr, index) numpy edge structures, cached on the edge index.
-
-    ``eu`` / ``ev`` as arrays, plus a sorted undirected-edge-key table
-    (``min * n + max``) for O(log m) vectorised edge-id lookups.
-    """
+    """``(eu, ev, sorted keys, ids by key)``; a python-tier index is renumbered once."""
     cache = _vec_cache(index)
-    cached = cache.get("edges")
-    if cached is None:
-        n = csr.number_of_nodes()
-        eu = np.frombuffer(index.eu, dtype=_int_dtype(np, index.eu))
-        ev = np.frombuffer(index.ev, dtype=_int_dtype(np, index.ev))
-        keys = np.minimum(eu, ev) * n + np.maximum(eu, ev)
-        key_order = np.argsort(keys, kind="stable")
-        cached = (eu, ev, keys[key_order], key_order.astype(np.int64))
-        cache["edges"] = cached
-    return cached
+    if "edges" not in cache:
+        vec_edge_numbering(csr, index)
+    return cache["edges"]
 
 
 #: pair-generation chunk bound — caps transient memory of the triangle sweep
@@ -368,7 +393,7 @@ def vec_edge_support(csr, index, alive=None):
 # ----------------------------------------------------------------------------
 
 
-def vec_truss_numbers(csr, index, alive=None):
+def vec_truss_numbers(csr, index, alive=None, support=None):
     """Vectorised twin of :func:`repro.graph.csr_truss.csr_truss_numbers`.
 
     Level-synchronous peel over the cached triangle list: every alive edge
@@ -382,13 +407,16 @@ def vec_truss_numbers(csr, index, alive=None):
     edge id owns the triangle; partners peeled alongside never get
     decremented), which reproduces the sequential bucket queue's values
     exactly — truss numbers are order-independent, only the *work
-    schedule* differs.
+    schedule* differs.  A ``support`` seed (what :func:`vec_edge_support`
+    would return) becomes the initial support array.
     """
     np = _np()
     m = index.num_edges
     if m == 0:
         return []
-    support = np.asarray(vec_edge_support(csr, index, alive), dtype=np.int64)
+    if support is None:
+        support = vec_edge_support(csr, index, alive)
+    support = np.array(support, dtype=np.int64)
     t_uv, t_uw, t_vw = _triangle_data(np, csr, index)
     inc_ptr, inc_tri = _incidence_data(np, csr, index)
 
@@ -447,3 +475,114 @@ def vec_truss_numbers(csr, index, alive=None):
         peeled |= in_frontier
         remaining -= int(frontier.size)
     return truss.tolist()
+
+
+# ----------------------------------------------------------------------------
+# community-index hierarchy layout
+# ----------------------------------------------------------------------------
+
+
+def _link(np, parent, u, v):
+    """Merge the components joined by edges ``(u, v)``; returns (parent, rounds).
+
+    ``parent`` points every node at its root, the minimum node of its
+    tree.  Each round hooks the larger root of every crossing edge onto the
+    smaller one and pointer-jumps the forest flat again, so roots stay
+    minima; only edges that crossed can cross again.
+    """
+    rounds = 0
+    while u.size:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        rounds += 1
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+    return parent, rounds
+
+
+def _threshold_levels(np, n, eu, ev, node_value, edge_value, low):
+    """``(labels, count)`` per level ``k = low..top`` of a threshold family.
+
+    Level ``k`` keeps the nodes with ``node_value >= k`` and the edges with
+    ``edge_value >= k``.  Levels are linked top-down, each seeded with the
+    forest above and fed only its own new edges.  Labels rank components
+    by min member index (a sweep's first-seen order), -1 off the level.
+    """
+    ids = np.arange(n, dtype=np.int64)
+    parent = ids.copy()
+    by_value = np.argsort(edge_value, kind="stable")
+    sorted_values = edge_value[by_value]
+    levels, hi = [], len(by_value)
+    for k in range(max(low, int(node_value.max()) if n else low), low - 1, -1):
+        lo = int(np.searchsorted(sorted_values, k))
+        parent, _ = _link(np, parent, eu[by_value[lo:hi]], ev[by_value[lo:hi]])
+        hi = lo
+        alive = node_value >= k
+        roots = alive & (parent == ids)
+        rank = np.cumsum(roots) - 1
+        levels.append((np.where(alive, rank[parent], -1), int(roots.sum())))
+    return levels[::-1]
+
+
+def _laminar_layout(np, n, levels):
+    """``(order, pos, ptr, starts, ends)`` of one laminar family.
+
+    A stable ``lexsort`` over the labels (coarsest level primary, ties by
+    node index) gives the order; each level's windows come from
+    ``minimum/maximum.at`` over positions, ordered by start.
+    """
+    order = np.lexsort([label for label, _ in reversed(levels)])
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    ptr, starts, ends = [0], [], []
+    for label, count in levels:
+        member = label >= 0
+        component, where = label[member], pos[member]
+        lo = np.full(count, n, dtype=np.int64)
+        hi = np.zeros(count, dtype=np.int64)
+        np.minimum.at(lo, component, where)
+        np.maximum.at(hi, component, where + 1)
+        if (hi - lo != np.bincount(component, minlength=count)).any():  # pragma: no cover
+            raise GraphError("community hierarchy is not laminar; index build aborted")
+        by_start = np.argsort(lo)
+        starts.append(lo[by_start])
+        ends.append(hi[by_start])
+        ptr.append(ptr[-1] + count)
+    regions = (order, pos, ptr, np.concatenate(starts), np.concatenate(ends))
+    return tuple(_as_long_array(np, values) for values in regions)
+
+
+def _level_members(np, label, count):
+    """One level's components as ascending node-index lists."""
+    order = np.argsort(label, kind="stable")
+    bounds = np.searchsorted(label[order], np.arange(count + 1)).tolist()
+    members = order.tolist()
+    return [members[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def vec_hierarchy_layout(csr, index, core, truss):
+    """Vectorised twin of :func:`repro.graph.index._hierarchy_layout`.
+
+    Returns ``(inc_max, core_members, core_counts, truss_counts,
+    core_regions, truss_regions)``, byte-identical to the pure-python build.
+    """
+    np = _np()
+    n = csr.number_of_nodes()
+    eu, ev, _, _ = _edge_data(np, csr, index)
+    core_np = np.asarray(core, dtype=np.int64)
+    truss_np = np.asarray(truss, dtype=np.int64)
+    inc_max = np.ones(n, dtype=np.int64)  # 1 = isolated, not even in the 2-truss
+    np.maximum.at(inc_max, eu, truss_np)
+    np.maximum.at(inc_max, ev, truss_np)
+    core_levels = _threshold_levels(np, n, eu, ev, core_np, np.minimum(core_np[eu], core_np[ev]), 0)
+    # truss level 1 keeps every node and edge: the plain components
+    truss_levels = _threshold_levels(np, n, eu, ev, inc_max, truss_np, 1)
+    families = (core_levels, truss_levels)
+    members = [_level_members(np, label, count) for label, count in core_levels[1:]]
+    counts = [[count for _, count in levels] for levels in families]
+    regions = [_laminar_layout(np, n, levels) for levels in families]
+    return (_as_long_array(np, inc_max), members, *counts, *regions)

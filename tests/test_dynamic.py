@@ -38,12 +38,14 @@ from repro.graph import (
     Graph,
     GraphError,
     build_index,
+    edge_support,
     freeze,
     index_path,
     load_index,
     node_truss_numbers,
     save_index,
     truss_numbers,
+    vec_kernels,
 )
 from repro.graph.csr import csr_core_numbers
 from repro.graph.csr_truss import csr_edge_index, csr_edge_support, csr_truss_numbers
@@ -165,14 +167,16 @@ def assert_snapshot_parity(frozen, reference_graph):
     assert list(csr.indices) == list(ref_csr.indices)
     index = csr_edge_index(ref_csr)
     cache = frozen.shared_cache()
-    # the primed base memos: positional core numbers, per-edge supports and
-    # the truss decomposition, exactly as the lazy paths would derive them
+    # the primed base memos: positional core numbers and the truss
+    # decomposition, exactly as the lazy paths would derive them; the
+    # per-edge supports are primed on the pure-python tier and derived
+    # lazily on the vec tier, so they are read through the public API
     assert cache[("csr-core-numbers",)] == csr_core_numbers(ref_csr)
     assert cache[("csr-edge-truss",)] == csr_truss_numbers(ref_csr, index)
     ref_support = _edge_value_dict(ref, index, csr_edge_support(ref_csr, index))
-    primed_support = cache[("edge-support",)]
-    assert primed_support == ref_support
-    assert list(primed_support) == list(ref_support)  # canonical key order too
+    served_support = edge_support(frozen)
+    assert served_support == ref_support
+    assert list(served_support) == list(ref_support)  # canonical key order too
     # the derived dict views (computed through the primed bases)
     assert truss_numbers(frozen) == truss_numbers(ref)
     assert list(truss_numbers(frozen)) == list(truss_numbers(ref))
@@ -290,6 +294,46 @@ class TestEpochManagerParity:
                     assert got.score == expected.score
                     assert got.extra == expected.extra
         assert manager.describe()["index_rebuilds"] == manager.epoch
+
+    @pytest.mark.skipif(not vec_kernels.numpy_available(), reason="numpy extra not installed")
+    def test_vec_tier_prepare_builds_no_python_edge_tables(self, karate):
+        """On the vec tier an incremental epoch neither builds the edge
+        index's per-node dict tables nor primes the canonical support dict;
+        both still derive lazily to the pure-python tier's values."""
+        vec_kernels.set_vec_enabled(True)
+        try:
+            manager = EpochManager(karate.graph.copy())
+            manager.bind_index(build_index(manager.frozen, dataset="karate"))
+            u, v = first_absent_edge(karate.graph)
+            prepared = manager.prepare(DeltaBatch().add_edge(u, v))
+            assert prepared.mode == "incremental"
+            cache = prepared.frozen.shared_cache()
+            edge_index = cache[("csr-edge-index",)]
+            assert edge_index._edge_of is None and edge_index._incident is None
+            assert ("edge-support",) not in cache
+            mirror = karate.graph.copy()
+            mirror.add_edge(u, v)
+            assert_snapshot_parity(prepared.frozen, mirror)
+        finally:
+            vec_kernels.set_vec_enabled(None)
+
+    def test_python_tier_prepare_primes_the_maintained_supports(self, karate):
+        vec_kernels.set_vec_enabled(False)
+        try:
+            manager = EpochManager(karate.graph.copy())
+            mirror = karate.graph.copy()
+            rng = random.Random(7)
+            next_node = [10_000]
+            for _ in range(4):
+                batch = random_batch(rng, mirror, next_node)
+                if not batch:
+                    continue
+                prepared = manager.apply(batch)
+                assert prepared.mode == "incremental"
+                assert ("edge-support",) in prepared.frozen.shared_cache()
+                assert_snapshot_parity(manager.frozen, mirror)
+        finally:
+            vec_kernels.set_vec_enabled(None)
 
     def test_refreeze_path_matches_fresh_freeze(self, karate):
         manager = EpochManager(karate.graph.copy(), threshold=0)  # always refreeze
