@@ -47,7 +47,7 @@ def run_tracing_phase(check, executor: str | None, log_path: str) -> None:
     label = executor or "inline"
     config = dict(trace_sample=1.0, log_json=log_path, slow_ms=0.0)
     if executor:
-        config.update(executor=executor, snapshot="private")
+        config.update(executor=executor)
     server = ServerProcess(("karate",), **config)
     try:
         with ServingClient(HOST, server.port) as client:

@@ -70,8 +70,10 @@ cluster row: 1 node vs N nodes).
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
+import pickle
 import shutil
 import statistics
 import subprocess
@@ -176,13 +178,10 @@ class ServerProcess(WireProcess):
         replicas=None,
         executor: str | None = None,
         max_queue: int = 0,
-        routing: str | None = None,
-        snapshot: str | None = None,
         index: str | None = None,
         index_dir: str | None = None,
         join: str | None = None,
         epochs: bool = False,
-        epoch_threshold: int | None = None,
         trace_sample: float | None = None,
         log_json: str | None = None,
         slow_ms: float | None = None,
@@ -205,10 +204,6 @@ class ServerProcess(WireProcess):
             command += ["--executor", executor]
         if max_queue:
             command += ["--max-queue", str(max_queue)]
-        if routing:
-            command += ["--routing", routing]
-        if snapshot:
-            command += ["--snapshot", snapshot]
         if index:
             command += ["--index", index]
         if index_dir:
@@ -217,8 +212,6 @@ class ServerProcess(WireProcess):
             command += ["--join", join]
         if epochs:
             command += ["--epochs"]
-        if epoch_threshold is not None:
-            command += ["--epoch-threshold", str(epoch_threshold)]
         if trace_sample is not None:
             command += ["--trace-sample", str(trace_sample)]
         if log_json is not None:
@@ -266,7 +259,6 @@ def server_config_from_args(args) -> dict:
         "replicas": args.replicas,
         "executor": args.executor,
         "max_queue": args.max_queue,
-        "snapshot": args.snapshot,
         "index": args.index,
         "index_dir": args.index_dir,
         "trace_sample": args.trace_sample,
@@ -995,60 +987,87 @@ def run_cluster(
 MEMORY_DATASET = "livejournal"
 
 
-def _worker_describe(stats: dict, dataset: str):
-    """Per-replica worker descriptions + the shard's effective snapshot mode."""
-    shard = stats["shards"][dataset]
-    return [replica["executor"] for replica in shard["replicas"]], shard["snapshot"]
+#: run in a fresh interpreter: load one private worker payload (read
+#: pickled from stdin) exactly as a worker whose host could not share the
+#: snapshot does, and print the load report as JSON
+_PRIVATE_LOAD_CHILD = """
+import json, pickle, sys
+from repro.serving.executor import _load_published
+loaded = _load_published(pickle.load(sys.stdin.buffer))
+json.dump(loaded[2], sys.stdout)
+"""
+
+
+def measure_private_worker(dataset: str) -> tuple[dict, int]:
+    """The private-snapshot fallback worker's load report for ``dataset``.
+
+    A worker falls back to a private snapshot when the host cannot export
+    the shared one; it then receives a pickled copy and runs
+    :func:`repro.serving.executor._load_published` on it.  This runs that
+    same load in a spawned interpreter (imports as a worker's, nothing
+    else) and returns ``(info, exit_code)``; ``info`` carries the
+    ``snapshot`` mode, ``rss_kb`` and the ``snapshot_rss_kb`` the load cost.
+    """
+    from repro.graph import freeze
+    from repro.serving.executor import Published
+
+    # nothing is exported for an inline Published, so its worker payload is
+    # the private copy a fallback worker gets
+    frozen = freeze(load_dataset(dataset).graph)
+    payload = Published(frozen, executor="inline").worker_payload()
+    child = subprocess.run(
+        [sys.executable, "-c", _PRIVATE_LOAD_CHILD],
+        input=pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+        capture_output=True,
+        env=_subprocess_env(),
+        timeout=300,
+    )
+    if child.returncode != 0:
+        sys.stderr.write(child.stderr.decode(errors="replace"))
+        return {}, child.returncode
+    return json.loads(child.stdout), 0
 
 
 def run_memory_phase(check) -> dict:
-    """Prove the zero-copy claim with resident-set numbers over the wire.
+    """Prove the zero-copy claim with resident-set numbers.
 
-    Stands up two real servers on :data:`MEMORY_DATASET`: one **private**
-    process replica (PR 4 behaviour — the worker freezes its own snapshot)
-    and two **shared** process replicas (the workers attach the host's
-    segment).  Each worker reports its post-snapshot VmRSS and the RSS
-    delta the snapshot itself cost (``snapshot_rss_kb``) in its handshake;
-    the phase asserts
+    Compares one **private** worker on :data:`MEMORY_DATASET` (the
+    fallback path: the worker loads its own pickled copy, measured by
+    :func:`measure_private_worker`) with a real server's two **shared**
+    process replicas (the workers attach the host's segment).  Each
+    worker reports its post-snapshot VmRSS and the RSS delta the snapshot
+    itself cost (``snapshot_rss_kb``); the phase asserts
 
     * both shared attaches *together* cost less resident memory than one
-      private freeze (the snapshot bytes live once, in the segment), and
+      private load (the snapshot bytes live once, in the segment), and
     * the two shared workers' total RSS stays well under 2x the single
-      private worker's (the ISSUE's acceptance bound).
+      private worker's.
 
     On platforms without ``/proc`` RSS introspection (or where shared
     memory is unavailable and the server fell back to private snapshots)
     the assertions are skipped with a note — the numbers are the point,
     and absent numbers must not fail unrelated platforms.
     """
-    server = ServerProcess(
-        (MEMORY_DATASET,), replicas=["1"], executor="process", snapshot="private"
-    )
+    private_worker, exit_code = measure_private_worker(MEMORY_DATASET)
+    check("memory-private-child-exit", exit_code == 0)
+    server = ServerProcess((MEMORY_DATASET,), replicas=["2"], executor="process")
     try:
         with ServingClient(HOST, server.port) as client:
-            private_workers, private_mode = _worker_describe(
-                client.stats(), MEMORY_DATASET
-            )
-    finally:
-        check("memory-private-clean-shutdown", server.shutdown() == 0)
-    server = ServerProcess(
-        (MEMORY_DATASET,), replicas=["2"], executor="process", snapshot="shared"
-    )
-    try:
-        with ServingClient(HOST, server.port) as client:
-            shared_workers, shared_mode = _worker_describe(client.stats(), MEMORY_DATASET)
+            shard = client.stats()["shards"][MEMORY_DATASET]
     finally:
         check("memory-shared-clean-shutdown", server.shutdown() == 0)
+    shared_workers = [replica["executor"] for replica in shard["replicas"]]
+    private_mode, shared_mode = private_worker.get("snapshot"), shard["snapshot"]
 
     report = {
         "dataset": MEMORY_DATASET,
         "private_mode": private_mode,
         "shared_mode": shared_mode,
-        "private_worker": private_workers[0],
+        "private_worker": private_worker,
         "shared_workers": shared_workers,
     }
     check("memory-private-mode", private_mode == "private")
-    rss_values = [worker.get("rss_kb") for worker in private_workers + shared_workers]
+    rss_values = [worker.get("rss_kb") for worker in [private_worker, *shared_workers]]
     if shared_mode != "shared":
         report["skipped"] = "shared memory unavailable; server fell back to private"
         print(f"memory phase skipped: {report['skipped']}")
@@ -1058,11 +1077,11 @@ def run_memory_phase(check) -> dict:
         print(f"memory phase skipped: {report['skipped']}")
         return report
 
-    private_snapshot = max(0, private_workers[0].get("snapshot_rss_kb") or 0)
+    private_snapshot = max(0, private_worker.get("snapshot_rss_kb") or 0)
     shared_snapshot = sum(
         max(0, worker.get("snapshot_rss_kb") or 0) for worker in shared_workers
     )
-    private_rss = private_workers[0]["rss_kb"]
+    private_rss = private_worker["rss_kb"]
     shared_rss = sum(worker["rss_kb"] for worker in shared_workers)
     report["private_snapshot_kb"] = private_snapshot
     report["shared_snapshot_kb_total"] = shared_snapshot
@@ -1156,15 +1175,12 @@ def run_parity(scale: float, server_config: dict, json_path: str | None = None) 
             check("stats-executed", stats["totals"]["executed"] >= len(requests) - 1)
             # the placement/replication schema dashboards rely on
             check("stats-placement", "placement" in stats)
-            # the snapshot mode workers actually run with: 'private' must be
-            # honoured verbatim; 'shared' (the default) must be *effective*
-            # for the process executor wherever shared memory exists —
-            # a silent fallback here would void the zero-copy story CI gates
-            requested_snapshot = server_config.get("snapshot") or "shared"
+            # the snapshot mode workers actually run with: 'shared' must be
+            # *effective* for the process executor wherever shared memory
+            # exists — a silent fallback here would void the zero-copy story
+            # CI gates
             expect_shared = (
-                requested_snapshot == "shared"
-                and server_config.get("executor") == "process"
-                and shared_memory_available()
+                server_config.get("executor") == "process" and shared_memory_available()
             )
             for name in SMALL_DATASETS:
                 shard = stats["shards"][name]
@@ -1179,9 +1195,7 @@ def run_parity(scale: float, server_config: dict, json_path: str | None = None) 
                         shard["executor"] == server_config["executor"],
                     )
                 check(f"stats-{name}-snapshot", shard["snapshot"] in ("shared", "private"))
-                if requested_snapshot == "private":
-                    check(f"stats-{name}-snapshot-private", shard["snapshot"] == "private")
-                elif expect_shared:
+                if expect_shared:
                     check(f"stats-{name}-snapshot-shared", shard["snapshot"] == "shared")
                 check(f"stats-{name}-index-block", "index" in shard)
                 if index_mode == "require":
@@ -1237,7 +1251,6 @@ def run_parity(scale: float, server_config: dict, json_path: str | None = None) 
             server_config={
                 "replicas": server_config.get("replicas") or ["1"],
                 "executor": server_config.get("executor") or "inline",
-                "snapshot": server_config.get("snapshot") or "shared",
                 "index": index_mode or "auto",
             },
             distinct_requests=len(requests),
@@ -1447,7 +1460,6 @@ def run(
             server_config={
                 "replicas": server_config.get("replicas") or ["1"],
                 "executor": server_config.get("executor") or "inline",
-                "snapshot": server_config.get("snapshot") or "shared",
             },
             distinct_requests=len(requests),
             total_requests=len(multiset),
@@ -1494,7 +1506,8 @@ def main(argv=None) -> int:
         "--executor",
         choices=["inline", "process"],
         default=None,
-        help="forwarded to `repro serve --executor`",
+        help="forwarded to `repro serve --executor`; with --parity-only and "
+        "'process' the smoke also runs the zero-copy memory comparison",
     )
     parser.add_argument(
         "--max-queue",
@@ -1502,14 +1515,6 @@ def main(argv=None) -> int:
         default=0,
         help="forwarded to `repro serve --max-queue`; with --parity-only a "
         "nonzero bound also runs the shedding + retry smoke",
-    )
-    parser.add_argument(
-        "--snapshot",
-        choices=["shared", "private"],
-        default=None,
-        help="forwarded to `repro serve --snapshot` (server default: shared); "
-        "with --parity-only and --executor process the smoke also runs the "
-        "zero-copy memory comparison and the segment leak check",
     )
     parser.add_argument(
         "--index",

@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="inline",
         help="execution strategy per replica: 'inline' (a thread on the "
         "shared snapshot, the default) or 'process' (one dedicated worker "
-        "process per replica)",
+        "process per replica, attaching the host's snapshot zero-copy "
+        "through shared memory where available)",
     )
     serve.add_argument(
         "--replicas",
@@ -136,26 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
         "overrides, e.g. --replicas 2 dblp=4",
     )
     serve.add_argument(
-        "--snapshot",
-        choices=["shared", "private"],
-        default="shared",
-        help="how process workers get the frozen snapshot: 'shared' "
-        "(default) exports it once into named shared memory and workers "
-        "attach zero-copy, falling back to 'private' where shared memory "
-        "is unavailable; 'private' ships each worker its own copy",
-    )
-    serve.add_argument(
         "--max-queue",
         type=int,
         default=0,
         help="bound on queued requests per shard; beyond it requests are shed "
         "with a structured 'overloaded' error (default 0 = unbounded)",
-    )
-    serve.add_argument(
-        "--routing",
-        choices=["least-loaded", "round-robin"],
-        default="least-loaded",
-        help="replica routing policy (default least-loaded by queue depth)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1024, help="LRU result-cache entries per shard"
@@ -185,14 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "epoch manager, responses carry an 'epoch' field, and the 'mutate' "
         "wire op (or 'repro mutate') evolves the graph by publishing new "
         "epochs (see repro.dynamic)",
-    )
-    serve.add_argument(
-        "--epoch-threshold",
-        type=int,
-        default=64,
-        help="delta batches with at most this many ops repair the core/truss "
-        "decompositions incrementally; larger batches refreeze from scratch "
-        "(default 64; 0 always refreezes)",
     )
     serve.add_argument(
         "--trace-sample",
@@ -334,13 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds of silence before a node is declared dead and its "
         "replicas fail over (default: 3x the interval)",
     )
-    coordinator.add_argument(
-        "--routing",
-        choices=["least-loaded", "round-robin"],
-        default="least-loaded",
-        help="host-placement policy: spread datasets to the least-assigned "
-        "node, or rotate (default least-loaded)",
-    )
 
     top = subparsers.add_parser(
         "top",
@@ -479,12 +450,9 @@ def _command_serve(args) -> int:
         executor=args.executor,
         replicas=replicas,
         replica_overrides=replica_overrides,
-        routing=args.routing,
-        snapshot=args.snapshot,
         index=args.index,
         index_dir=args.index_dir,
         epochs=args.epochs,
-        epoch_threshold=args.epoch_threshold,
         trace_sample=args.trace_sample,
         slow_query_ms=args.slow_ms,
     )
@@ -664,7 +632,6 @@ def _command_coordinator(args) -> int:
         replication=args.replication,
         heartbeat_interval=args.heartbeat_interval,
         heartbeat_timeout=args.heartbeat_timeout,
-        routing=args.routing,
     )
     return run_coordinator(coordinator, args.host, args.port)
 

@@ -4,9 +4,10 @@
 **coordinator** process (``repro coordinator``) owns the control plane:
 node processes started with ``repro serve --join <coord-addr>`` register
 and heartbeat, the coordinator spreads each dataset's replica set across
-the live nodes (the same routing policies PR 4 used for replicas, now
-selecting hosts), detects dead nodes on missed heartbeats, promotes
-surviving replicas, and publishes a **versioned routing table**.  Clients
+the live nodes (each new replica to the least-assigned host, the same
+least-loaded choice the serving layer makes among replicas), detects dead
+nodes on missed heartbeats, promotes surviving replicas, and publishes a
+**versioned routing table**.  Clients
 (:class:`ClusterClient`) fetch the table once and send queries **directly
 to the owning nodes** — the coordinator never touches the data path — and
 recover from staleness (``not_owner`` → refetch) and node loss

@@ -4,10 +4,10 @@ The coordinator is the control plane of the multi-host serving tier — and
 *only* the control plane: no query ever flows through it.  Node processes
 (``repro serve --join <coord-addr>``) register and heartbeat; the
 coordinator assigns each dataset's replica set across the live nodes
-(reusing the serving layer's routing policies, now selecting **hosts**
-instead of replicas), detects dead nodes on missed heartbeats, promotes
-surviving replicas and refills the set (failover + rebalance), and
-publishes the result as a **versioned routing table** that clients fetch
+(each new replica goes to the host with the fewest assigned replicas,
+registration order breaking ties), detects dead nodes on missed
+heartbeats, promotes surviving replicas and refills the set (failover +
+rebalance), and publishes the result as a **versioned routing table** that clients fetch
 once and then follow to the owning nodes directly.
 
 Wire operations (line-delimited JSON, same transport idiom as the query
@@ -41,7 +41,6 @@ from typing import Any, Callable, Optional
 
 from ..datasets import list_datasets
 from ..obs.metrics import Histogram
-from ..serving.placement import ROUTING_POLICIES, LeastLoadedPolicy
 from ..serving.protocol import ProtocolError, decode_line, encode, error_payload
 from .node import parse_address
 
@@ -51,24 +50,6 @@ __all__ = [
     "CoordinatorThread",
     "run_coordinator",
 ]
-
-
-class _HostSlot:
-    """A live node viewed through the routing-policy interface.
-
-    The serving layer's policies pick among objects exposing ``load`` and
-    ``index``; here ``load`` is the number of dataset replicas already
-    assigned to the node, so ``least-loaded`` spreads datasets evenly over
-    hosts and ``round-robin`` rotates through them — the same two policies
-    PR 4 introduced for replicas, reused one layer up.
-    """
-
-    __slots__ = ("node_id", "index", "load")
-
-    def __init__(self, node_id: str, index: int, load: int) -> None:
-        self.node_id = node_id
-        self.index = index
-        self.load = load
 
 
 class NodeInfo:
@@ -135,7 +116,6 @@ class Coordinator:
         replication: int = 1,
         heartbeat_interval: float = 2.0,
         heartbeat_timeout: Optional[float] = None,
-        routing: str = LeastLoadedPolicy.name,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         names = list(dict.fromkeys(datasets))
@@ -158,17 +138,10 @@ class Coordinator:
                 f"heartbeat_timeout ({heartbeat_timeout}) must exceed the "
                 f"interval ({heartbeat_interval})"
             )
-        if routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {routing!r}; choose from "
-                f"{', '.join(sorted(ROUTING_POLICIES))}"
-            )
         self.datasets = names
         self.replication = replication
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.routing = routing
-        self._policy = ROUTING_POLICIES[routing]()
         self._clock = clock
         self._nodes: dict[str, NodeInfo] = {}
         self._by_address: dict[str, str] = {}
@@ -343,7 +316,7 @@ class Coordinator:
 
         Dead nodes are pruned (surviving replicas keep their order, so the
         first survivor is the promoted primary), under-replicated sets are
-        refilled by the routing policy over host slots, and a gentle
+        refilled from the least-assigned live nodes, and a gentle
         balance pass moves replicas from the most- to the least-assigned
         node until the spread is at most one — so a node joining an
         already-covered cluster picks up its share without a full reshuffle
@@ -367,16 +340,12 @@ class Coordinator:
                 changed = True
             want = min(self.replication, len(live))
             while len(survivors) < want:
-                candidates = [
-                    _HostSlot(node.node_id, node.index, loads[node.node_id])
-                    for node in live
-                    if node.node_id not in survivors
-                ]
+                candidates = [node for node in live if node.node_id not in survivors]
                 if not candidates:
                     break
-                slot = self._policy.select(candidates)
-                survivors.append(slot.node_id)
-                loads[slot.node_id] += 1
+                chosen = min(candidates, key=lambda node: (loads[node.node_id], node.index))
+                survivors.append(chosen.node_id)
+                loads[chosen.node_id] += 1
                 changed = True
             self._assignments[name] = survivors
         while len(live) > 1:
@@ -513,7 +482,6 @@ class Coordinator:
             "version": self._version,
             "datasets": list(self.datasets),
             "replication": self.replication,
-            "routing": self.routing,
             "heartbeat_interval_ms": int(self.heartbeat_interval * 1000),
             "heartbeat_timeout_ms": int(self.heartbeat_timeout * 1000),
             "nodes": [node.describe() for node in nodes],

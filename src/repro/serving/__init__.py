@@ -5,9 +5,10 @@ multi-user service, structured in four layers:
 
 * **executors** (:mod:`~repro.serving.executor`) — where batches run:
   inline threads on the shared snapshot, or a dedicated spawn-safe worker
-  process per replica;
+  process per replica that attaches the host's snapshot through shared
+  memory (a pickled private copy only where shared memory fails);
 * **placement** (:mod:`~repro.serving.placement`) — each dataset maps to a
-  replica set with a routing policy (least-loaded / round-robin), replacing
+  replica set whose least-loaded replica takes the next request, replacing
   the flat shard dict;
 * **shards** (:mod:`~repro.serving.shard`) — queueing, coalescing, the LRU
   result cache, and admission control (bounded queues shed with structured
@@ -41,13 +42,9 @@ from .executor import (
     WorkerProcessExecutor,
 )
 from .placement import (
-    ROUTING_POLICIES,
-    SNAPSHOT_MODES,
-    LeastLoadedPolicy,
     Placement,
     Replica,
     ReplicaSet,
-    RoundRobinPolicy,
     parse_replica_spec,
 )
 from .pool import ServingClientPool
@@ -73,10 +70,6 @@ __all__ = [
     "Placement",
     "Replica",
     "ReplicaSet",
-    "RoundRobinPolicy",
-    "LeastLoadedPolicy",
-    "ROUTING_POLICIES",
-    "SNAPSHOT_MODES",
     "EXECUTOR_KINDS",
     "InlineExecutor",
     "WorkerProcessExecutor",

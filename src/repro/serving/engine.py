@@ -4,10 +4,12 @@
 and examples use directly.  Since PR 4 it no longer owns a flat shard
 dict: a :class:`~repro.serving.placement.Placement` maps each dataset to a
 replicated shard (``replicas`` / ``replica_overrides``), chooses the
-execution strategy (``executor`` ∈ inline / process), routes
-admitted requests to replicas (``routing`` ∈ least-loaded / round-robin)
-and bounds the per-shard queues (``max_queue``; shed requests come back as
-structured ``overloaded`` errors carrying ``retry_after_ms``).
+execution strategy (``executor`` ∈ inline / process; process workers
+attach the host's snapshot through shared memory, or get a private copy
+where that is unavailable), routes each admitted request to the
+least-loaded replica and bounds the per-shard queues (``max_queue``; shed
+requests come back as structured ``overloaded`` errors carrying
+``retry_after_ms``).
 
 Shards for the configured ``datasets`` are loaded eagerly at
 :meth:`ServingEngine.start`; any other *registered* dataset is loaded
@@ -67,12 +69,9 @@ class ServingEngine:
         executor: str = "inline",
         replicas: int = 1,
         replica_overrides: Optional[dict[str, int]] = None,
-        routing: str = "least-loaded",
-        snapshot: str = "shared",
         index: str = "auto",
         index_dir: Optional[str] = None,
         epochs: bool = False,
-        epoch_threshold: int = 64,
         trace_sample: float = 0.0,
         trace_capacity: int = 4096,
         slow_query_ms: Optional[float] = None,
@@ -103,12 +102,9 @@ class ServingEngine:
             replicas=replicas,
             replica_overrides=replica_overrides,
             executor=executor,
-            routing=routing,
-            snapshot=snapshot,
             index=index,
             index_dir=index_dir,
             epochs=epochs,
-            epoch_threshold=epoch_threshold,
             telemetry=self.telemetry,
         )
         self._started = False

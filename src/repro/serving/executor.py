@@ -141,11 +141,12 @@ class Published:
     """One snapshot (and its index) handed to a replica set's executors.
 
     Built once per host per snapshot.  For process executors it puts the
-    CSR arrays (``snapshot == 'shared'``) and the index regions into
-    shared-memory segments, so N workers map one copy; where shared memory
-    fails, workers get pickled copies instead.  Inline executors read
-    ``frozen`` and ``index`` directly.  The owner calls :meth:`close` once
-    no executor reads this snapshot any more; it unlinks the segments.
+    CSR arrays and the index regions into shared-memory segments, so N
+    workers map one copy; where shared memory is unavailable or exporting
+    fails, workers get pickled copies instead (``snapshot_mode ==
+    'private'``).  Inline executors read ``frozen`` and ``index``
+    directly.  The owner calls :meth:`close` once no executor reads this
+    snapshot any more; it unlinks the segments.
     """
 
     __slots__ = (
@@ -164,7 +165,6 @@ class Published:
         index_reason: Optional[str] = None,
         *,
         executor: str,
-        snapshot: str,
     ) -> None:
         self.frozen = frozen
         self.index = index
@@ -172,11 +172,10 @@ class Published:
         self.index_algorithms = index.served_algorithms() if index is not None else ()
         self.snapshot_handle = self.index_handle = None
         if executor == "process" and shared_memory_available():
-            if snapshot == "shared":
-                try:
-                    self.snapshot_handle = frozen.share()
-                except (OSError, ValueError):  # graceful fallback: ship copies
-                    pass
+            try:
+                self.snapshot_handle = frozen.share()
+            except (OSError, ValueError):  # graceful fallback: ship copies
+                pass
             if index is not None:
                 try:
                     self.index_handle = index.share()

@@ -1,4 +1,4 @@
-"""Shard placement: dataset → replica set, with a routing policy.
+"""Shard placement: dataset → replica set, routed to the least-loaded replica.
 
 PR 3 served every dataset from a single shard executing inside one asyncio
 process; this module is the layer that grew out of it.  It owns three
@@ -10,11 +10,11 @@ concerns:
   queue + micro-batch loop in front of one
   :mod:`~repro.serving.executor` executor, so replication composes with
   either execution strategy — N inline threads on the host's snapshot, or
-  N dedicated worker processes.
-* **Routing** — a policy picks the replica for each admitted request:
-  :class:`RoundRobinPolicy` (strict rotation) or the default
-  :class:`LeastLoadedPolicy` (smallest queue depth + in-flight batch,
-  index as the tie-break, so an idle replica always wins over a busy one).
+  N dedicated worker processes attaching the host's shared-memory
+  snapshot (pickled copies only where shared memory fails).
+* **Routing** — each admitted request goes to the replica with the
+  smallest queue depth + in-flight batch, the replica index breaking
+  ties, so an idle replica always wins over a busy one.
 * **The placement map** — :class:`Placement` replaces the engine's flat
   shard dict: it validates the replica/executor configuration up front,
   loads shards lazily off the event loop, and folds per-replica statistics
@@ -56,63 +56,11 @@ from .protocol import ProtocolError, QueryRequest
 from .shard import Shard
 
 __all__ = [
-    "SNAPSHOT_MODES",
-    "ROUTING_POLICIES",
-    "RoundRobinPolicy",
-    "LeastLoadedPolicy",
     "Replica",
     "ReplicaSet",
     "Placement",
     "parse_replica_spec",
 ]
-
-#: the closed set of snapshot-distribution modes ``--snapshot`` accepts:
-#: 'shared' exports the host's frozen CSR into a named shared-memory
-#: segment that process workers attach zero-copy (falling back to
-#: 'private' where shared memory is unavailable); 'private' ships every
-#: worker its own copy, PR 4 behaviour
-SNAPSHOT_MODES = ("shared", "private")
-
-
-# ----------------------------------------------------------------------------
-# routing policies
-# ----------------------------------------------------------------------------
-
-
-class RoundRobinPolicy:
-    """Strict rotation over the replica set, independent of load."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def select(self, replicas: list["Replica"]) -> "Replica":
-        replica = replicas[self._next % len(replicas)]
-        self._next += 1
-        return replica
-
-
-class LeastLoadedPolicy:
-    """Pick the replica with the smallest queue depth + in-flight batch.
-
-    Ties break on the replica index so routing is deterministic; an idle
-    replica therefore always beats one that is mid-batch, which is what
-    lets a slow query on one replica stop head-of-line-blocking the rest
-    of the traffic.
-    """
-
-    name = "least-loaded"
-
-    def select(self, replicas: list["Replica"]) -> "Replica":
-        return min(replicas, key=lambda replica: (replica.load, replica.index))
-
-
-#: routing-policy name → zero-argument factory (policies carry state).
-ROUTING_POLICIES: dict[str, Callable[[], Any]] = {
-    RoundRobinPolicy.name: RoundRobinPolicy,
-    LeastLoadedPolicy.name: LeastLoadedPolicy,
-}
 
 
 # ----------------------------------------------------------------------------
@@ -390,12 +338,12 @@ class Replica:
 
 
 class ReplicaSet:
-    """The replicas serving one dataset, plus their routing policy.
+    """The replicas serving one dataset.
 
     The set lives as long as its shard.  It owns the :class:`Published`
-    snapshot its executors serve — in ``shared`` snapshot mode that is the
-    exported shared-memory segments: the host freezes once, every process
-    worker attaches zero-copy.  A new epoch is handed over by
+    snapshot its executors serve — for process replicas that is the
+    exported shared-memory segments: the host freezes once, every worker
+    attaches zero-copy.  A new epoch is handed over by
     :meth:`publish`: an epoch barrier on every replica queue, and the
     superseded snapshot's segments are unlinked once every replica has
     rebound past it.  :meth:`close` unlinks the current ones after the
@@ -403,11 +351,10 @@ class ReplicaSet:
     lifecycle.
     """
 
-    def __init__(self, replicas: list[Replica], policy, published: Published) -> None:
+    def __init__(self, replicas: list[Replica], published: Published) -> None:
         if not replicas:
             raise ValueError("a replica set needs at least one replica")
         self.replicas = replicas
-        self.policy = policy
         self.published = published  # what the executors serve now
         self._closed = False
 
@@ -420,12 +367,11 @@ class ReplicaSet:
         key: str,
         count: int,
         executor: str,
-        routing: str,
         max_batch: int,
         telemetry=None,
     ) -> "ReplicaSet":
         """Construct ``count`` replicas serving ``published`` (the
-        executor kind and routing policy are validated by the caller)."""
+        executor kind is validated by the caller)."""
         replicas = []
         for replica_index in range(count):
             if executor == "inline":
@@ -443,7 +389,7 @@ class ReplicaSet:
                     telemetry=telemetry,
                 )
             )
-        return cls(replicas, ROUTING_POLICIES[routing](), published)
+        return cls(replicas, published)
 
     def __len__(self) -> int:
         return len(self.replicas)
@@ -484,8 +430,10 @@ class ReplicaSet:
         await asyncio.gather(*(replica.start() for replica in self.replicas))
 
     def route(self) -> Replica:
-        """Pick the replica the next admitted request is queued on."""
-        return self.policy.select(self.replicas)
+        """Pick the replica the next admitted request is queued on: the
+        least loaded (queued + in-flight), ties to the lowest index, so a
+        slow query on one replica stops head-of-line-blocking the rest."""
+        return min(self.replicas, key=lambda replica: (replica.load, replica.index))
 
     def total_queued(self) -> int:
         """Requests queued across the set (excluding executing batches)."""
@@ -542,36 +490,23 @@ class Placement:
         replicas: int = 1,
         replica_overrides: Optional[dict[str, int]] = None,
         executor: str = "inline",
-        routing: str = LeastLoadedPolicy.name,
-        snapshot: str = "shared",
         index: str = "auto",
         index_dir: Optional[str] = None,
         epochs: bool = False,
-        epoch_threshold: int = 64,
         telemetry=None,
     ) -> None:
-        if epoch_threshold < 0:
-            raise ValueError(f"epoch_threshold must be >= 0, got {epoch_threshold}")
         if executor not in EXECUTOR_KINDS:
             raise ValueError(
                 f"unknown executor {executor!r}; choose from {', '.join(EXECUTOR_KINDS)}"
-            )
-        if snapshot not in SNAPSHOT_MODES:
-            raise ValueError(
-                f"unknown snapshot mode {snapshot!r}; choose from "
-                f"{', '.join(SNAPSHOT_MODES)}"
             )
         if index not in INDEX_MODES:
             raise ValueError(
                 f"unknown index mode {index!r}; choose from {', '.join(INDEX_MODES)}"
             )
-        if routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"unknown routing policy {routing!r}; choose from "
-                f"{', '.join(sorted(ROUTING_POLICIES))}"
-            )
         if replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
+        if cache_size < 0:
+            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 0:
@@ -592,14 +527,11 @@ class Placement:
             "max_queue": max_queue,
         }
         self.executor = executor
-        self.routing = routing
-        self.snapshot = snapshot
         self.index = index
         self.index_dir = index_dir
         self.replicas = replicas
         self.replica_overrides = overrides
         self.epochs = bool(epochs)
-        self.epoch_threshold = epoch_threshold
         self.telemetry = telemetry
         self._shards: dict[str, Shard] = {}
         self._managers: dict[str, EpochManager] = {}
@@ -687,7 +619,7 @@ class Placement:
         key = key if key is not None else dataset.name
         manager: Optional[EpochManager] = None
         if self.epochs:
-            manager = EpochManager(dataset.graph, threshold=self.epoch_threshold)
+            manager = EpochManager(dataset.graph)
             if self.telemetry is not None:
                 manager.tracer = self.telemetry.tracer
             frozen = manager.frozen
@@ -704,13 +636,10 @@ class Placement:
             manager.bind_index(index)
         replica_set = ReplicaSet.build(
             dataset.name,
-            Published(
-                frozen, index, index_reason, executor=self.executor, snapshot=self.snapshot
-            ),
+            Published(frozen, index, index_reason, executor=self.executor),
             key=key,
             count=self.replicas_for(key),
             executor=self.executor,
-            routing=self.routing,
             max_batch=self._options["max_batch"],
             telemetry=self.telemetry,
         )
@@ -799,11 +728,7 @@ class Placement:
                         name, prepared.frozen, epoch=prepared.epoch
                     )
                 return Published(
-                    prepared.frozen,
-                    index,
-                    index_reason,
-                    executor=self.executor,
-                    snapshot=self.snapshot,
+                    prepared.frozen, index, index_reason, executor=self.executor
                 )
 
             published = await loop.run_in_executor(None, _stage)
@@ -885,15 +810,12 @@ class Placement:
         return {
             "placement": {
                 "executor": self.executor,
-                "routing": self.routing,
-                "snapshot": self.snapshot,
                 "index": self.index,
                 "index_dir": str(self.index_dir) if self.index_dir is not None else None,
                 "replicas": self.replicas,
                 "replica_overrides": dict(sorted(self.replica_overrides.items())),
                 "max_queue": self._options["max_queue"],
                 "epochs": self.epochs,
-                "epoch_threshold": self.epoch_threshold if self.epochs else None,
             },
             "shards": per_shard,
             "totals": totals,

@@ -377,7 +377,6 @@ class Shard:
             "executor": self.replica_set.executor_kind,
             "snapshot": self.replica_set.published.snapshot_mode,
             "index": self._index_stats(),
-            "routing": self.replica_set.policy.name,
             "replica_count": len(self.replica_set),
             "queries": self.queries,
             "cache_hits": self.cache_hits,

@@ -2,10 +2,50 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.datasets import figure1_dataset, load_karate, ring_of_cliques_dataset
-from repro.graph import Graph, erdos_renyi, lfr_benchmark, planted_partition
+from repro.graph import (
+    FrozenGraph,
+    Graph,
+    erdos_renyi,
+    lfr_benchmark,
+    planted_partition,
+)
+
+
+@pytest.fixture()
+def own_shm_segments():
+    """A callable returning the ``repro_snap_*`` names in /dev/shm that
+    this process created (empty where /dev/shm does not exist)."""
+
+    def names():
+        try:
+            entries = os.listdir("/dev/shm")
+        except OSError:
+            return set()
+        marker = f"{os.getpid()}_"
+        return {
+            name for name in entries if name.startswith("repro_snap_") and marker in name
+        }
+
+    return names
+
+
+@pytest.fixture()
+def share_fails(monkeypatch):
+    """Make every ``FrozenGraph.share`` in this process raise ``OSError``.
+
+    Process replicas then take the automatic private-snapshot fallback:
+    the host exports nothing and each worker loads a pickled copy.
+    """
+
+    def refuse(self):
+        raise OSError("shared memory refused")
+
+    monkeypatch.setattr(FrozenGraph, "share", refuse)
 
 
 @pytest.fixture(scope="session")

@@ -229,7 +229,6 @@ class TestServeParser:
         assert args.executor == "inline"
         assert args.replicas == ["1"]
         assert args.max_queue == 0
-        assert args.routing == "least-loaded"
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
@@ -244,12 +243,11 @@ class TestServeParser:
     def test_serve_placement_flags(self):
         args = build_parser().parse_args(
             ["serve", "--executor", "process", "--replicas", "2", "dolphin=4",
-             "--max-queue", "32", "--routing", "round-robin"]
+             "--max-queue", "32"]
         )
         assert args.executor == "process"
         assert args.replicas == ["2", "dolphin=4"]
         assert args.max_queue == 32
-        assert args.routing == "round-robin"
 
     def test_serve_rejects_removed_pool_flags(self, capsys):
         # serving has two executors, inline and process; neither is sized
@@ -258,3 +256,20 @@ class TestServeParser:
                 build_parser().parse_args(argv)
             assert exc.value.code == 2
             capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--snapshot", "private"],
+            ["serve", "--routing", "round-robin"],
+            ["serve", "--epoch-threshold", "3"],
+            ["coordinator", "--datasets", "karate", "--routing", "round-robin"],
+        ],
+    )
+    def test_removed_serving_knobs_exit_2(self, argv, capsys):
+        # one serving configuration: shared snapshots, least-loaded routing
+        # and the default epoch threshold are not options
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

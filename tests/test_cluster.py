@@ -208,8 +208,9 @@ class TestCoordinatorValidation:
             Coordinator(["karate"], replication=0)
 
     def test_bad_routing_rejected(self):
-        with pytest.raises(ValueError):
-            Coordinator(["karate"], routing="random")
+        # host placement is always least-assigned; there is no policy knob
+        with pytest.raises(TypeError):
+            Coordinator(["karate"], routing="round-robin")
 
     def test_timeout_must_exceed_interval(self):
         with pytest.raises(ValueError):

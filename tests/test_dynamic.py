@@ -506,7 +506,7 @@ class TestServingEpochs:
         assert shard["epoch"]["batches"] == 1
         assert shard["epoch"]["incremental_batches"] == 1
         assert stats["placement"]["epochs"] is True
-        assert stats["placement"]["epoch_threshold"] == 64
+        assert shard["epoch"]["threshold"] == 64  # the serving default
 
     def test_cache_is_per_epoch(self):
         async def scenario():

@@ -11,14 +11,14 @@ the old snapshot, requests after it on the new one.  These tests pin:
   epoch's shared segments stay alive;
 * a worker killed after the hand-off, or one that fails it, is respawned
   on the current epoch with no stale answer and no leaked segment;
-* a private-snapshot worker serves the current epoch, not epoch 0.
+* a worker on the private-snapshot fallback (the host's export failed)
+  serves the current epoch, not epoch 0.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-import os
 import time
 
 import pytest
@@ -92,16 +92,6 @@ def build_karate_index(directory):
         build_index(load_dataset("karate").graph, dataset="karate"),
         index_path("karate", directory),
     )
-
-
-def own_dev_shm_segments():
-    """``repro_snap_*`` names in /dev/shm created by this process."""
-    try:
-        names = os.listdir("/dev/shm")
-    except OSError:
-        return set()
-    marker = f"{os.getpid()}_"
-    return {name for name in names if name.startswith("repro_snap_") and marker in name}
 
 
 class TestQueuedAcrossASwap:
@@ -189,7 +179,7 @@ class TestQueuedAcrossASwap:
 
 @needs_shm
 class TestWorkersOutliveEpochs:
-    def test_ten_epochs_keep_every_worker(self, tmp_path):
+    def test_ten_epochs_keep_every_worker(self, tmp_path, own_shm_segments):
         build_karate_index(tmp_path)
         mirror = load_dataset("karate").graph.copy()
         edges = absent_edges(mirror, 5)
@@ -261,7 +251,7 @@ class TestWorkersOutliveEpochs:
                 assert served(answer) == expected_nodes(mirror, algorithm, [node], params)
                 assert answer.get("epoch", epoch) == epoch
         assert live_segment_names() == before
-        assert not own_dev_shm_segments()
+        assert not own_shm_segments()
 
 
 @needs_shm
@@ -291,7 +281,7 @@ class TestHandOffFaults:
         mirror.add_edge(u, v)
         return mirror, applied, answers, stats, describe, u
 
-    def _check(self, outcome, before):
+    def _check(self, outcome, before, own_shm_segments):
         mirror, applied, answers, stats, describe, u = outcome
         assert applied["ok"] and applied["epoch"] == 1
         for algorithm, params, answer in answers:
@@ -302,9 +292,9 @@ class TestHandOffFaults:
         index = stats["shards"]["karate"]["index"]
         assert index["effective"] == "indexed" and index["hits"] >= len(INDEX_READS)
         assert live_segment_names() == before
-        assert not own_dev_shm_segments()
+        assert not own_shm_segments()
 
-    def test_worker_killed_after_the_hand_off(self, tmp_path):
+    def test_worker_killed_after_the_hand_off(self, tmp_path, own_shm_segments):
         build_karate_index(tmp_path)
 
         async def between(engine, executor, payload):
@@ -314,9 +304,11 @@ class TestHandOffFaults:
             return applied
 
         before = live_segment_names()
-        self._check(run(self._serve(tmp_path, between)), before)
+        self._check(run(self._serve(tmp_path, between)), before, own_shm_segments)
 
-    def test_worker_failing_its_attach_reply(self, tmp_path, monkeypatch, caplog):
+    def test_worker_failing_its_attach_reply(
+        self, tmp_path, monkeypatch, caplog, own_shm_segments
+    ):
         build_karate_index(tmp_path)
         real_payload = Published.worker_payload
 
@@ -344,7 +336,7 @@ class TestHandOffFaults:
         before = live_segment_names()
         with caplog.at_level(logging.ERROR, logger="repro.obs"):
             outcome = run(self._serve(tmp_path, between))
-        self._check(outcome, before)
+        self._check(outcome, before, own_shm_segments)
         assert any(record.getMessage() == "worker_attach_failed" for record in caplog.records)
 
 
@@ -380,13 +372,13 @@ def test_rebind_spans_name_each_replica_and_worker(tmp_path):
         assert commit["start"] <= span["start"] <= span["end"] <= commit["end"]
 
 
-def test_private_snapshot_workers_serve_the_current_epoch():
+def test_private_snapshot_workers_serve_the_current_epoch(share_fails, own_shm_segments):
     mirror = load_dataset("karate").graph.copy()
     ops = [["add_node", 99], ["add_edge", 99, 0], ["add_edge", 99, 1]]
 
     async def scenario():
         async with ServingEngine(
-            datasets=["karate"], epochs=True, executor="process", snapshot="private"
+            datasets=["karate"], epochs=True, executor="process"
         ) as engine:
             await engine.handle(query("kc", [0], {"k": 2}))
             applied = await engine.handle(mutate(ops))
@@ -402,3 +394,4 @@ def test_private_snapshot_workers_serve_the_current_epoch():
     assert applied["ok"] and answer["ok"] and answer["epoch"] == 1
     assert answer["nodes"] == expected_nodes(mirror, "kc", [99], {"k": 2})
     assert describe["snapshot"] == "private" and describe["restarts"] == 0
+    assert not own_shm_segments()

@@ -304,7 +304,7 @@ class TestTracePropagation:
 
     def test_process_executor_span_tree(self):
         first, repeat, spans, repeat_spans = run(
-            self._traced_query(executor="process", snapshot="private")
+            self._traced_query(executor="process")
         )
         self._assert_tree(first, spans, expect_pid_differs=True)
         self._assert_cached_repeat(repeat, repeat_spans)
@@ -315,7 +315,6 @@ class TestTracePropagation:
                 datasets=["karate"],
                 trace_sample=1.0,
                 executor="process",
-                snapshot="private",
             ) as engine:
                 await engine.handle(
                     {"op": "query", "dataset": "karate", "algorithm": "kt", "nodes": [0]}

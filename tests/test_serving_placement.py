@@ -1,7 +1,7 @@
 """Tests for the placement/replication/admission layers of the serving stack.
 
 Covers the four PR-4 layers directly against the in-process engine:
-routing policies, replica sets, executor strategies (including the
+least-loaded routing, replica sets, executor strategies (including the
 dedicated worker-process replicas), bounded-queue admission control with
 ``overloaded`` shedding, graceful drain, and the stats schema dashboards
 rely on.
@@ -16,9 +16,8 @@ import pytest
 
 from repro.experiments.registry import run_algorithm
 from repro.serving import (
-    LeastLoadedPolicy,
     ProtocolError,
-    RoundRobinPolicy,
+    ReplicaSet,
     ServingEngine,
     error_payload,
     parse_replica_spec,
@@ -74,7 +73,7 @@ async def _wait_until(predicate, timeout=5.0):
 
 
 # ----------------------------------------------------------------------------
-# routing policies
+# routing: the least-loaded replica, ties to the lowest index
 # ----------------------------------------------------------------------------
 
 
@@ -84,33 +83,30 @@ class FakeReplica:
         self.load = load
 
 
-class TestRoutingPolicies:
-    def test_round_robin_rotates_regardless_of_load(self):
-        replicas = [FakeReplica(0, 9), FakeReplica(1, 0), FakeReplica(2, 5)]
-        policy = RoundRobinPolicy()
-        picks = [policy.select(replicas).index for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
+def _route(replicas):
+    return ReplicaSet(replicas, published=None).route()
 
+
+class TestRoutingPolicies:
     def test_least_loaded_picks_smallest_queue(self):
         replicas = [FakeReplica(0, 2), FakeReplica(1, 0), FakeReplica(2, 1)]
-        policy = LeastLoadedPolicy()
-        assert policy.select(replicas).index == 1
+        assert _route(replicas).index == 1
 
     def test_least_loaded_ties_break_on_index(self):
         replicas = [FakeReplica(0, 1), FakeReplica(1, 1)]
-        assert LeastLoadedPolicy().select(replicas).index == 0
+        assert _route(replicas).index == 0
 
-    def test_round_robin_spreads_sequential_work_across_replicas(self):
+    def test_sequential_work_stays_on_replica_0(self):
         async def scenario():
-            async with ServingEngine(
-                datasets=["karate"], replicas=2, routing="round-robin"
-            ) as engine:
+            async with ServingEngine(datasets=["karate"], replicas=2) as engine:
                 for node in (0, 1, 2, 33):
                     await engine.query("karate", "kt", [node])
                 return engine.shards["karate"].replica_set.stats()
 
+        # each query finds both replicas idle, so the tie-break keeps them
+        # all on replica 0
         per_replica = run(scenario())
-        assert [replica["executed"] for replica in per_replica] == [2, 2]
+        assert [replica["executed"] for replica in per_replica] == [4, 0]
 
     def test_least_loaded_routes_around_a_busy_replica(self):
         async def scenario():
@@ -165,13 +161,20 @@ class TestReplicaConfiguration:
             ServingEngine(max_batch=0)  # would silently disable micro-batching
         with pytest.raises(ValueError):
             ServingEngine(executor="quantum")
-        with pytest.raises(ValueError):
-            ServingEngine(routing="random")
+        with pytest.raises(ValueError, match="cache_size"):
+            # checked up front, not on the first query of a lazy shard load
+            ServingEngine(cache_size=-1)
         with pytest.raises(KeyError):
             ServingEngine(replica_overrides={"atlantis": 2})
         with pytest.raises(ValueError, match="inline, process"):
             # the message lists the executors that exist
             ServingEngine(executor="pool")
+
+    @pytest.mark.parametrize("removed", [{"routing": "round-robin"}, {"epoch_threshold": 3}])
+    def test_removed_knobs_are_not_parameters(self, removed):
+        # snapshot= is covered by test_shared_snapshot.py
+        with pytest.raises(TypeError):
+            ServingEngine(**removed)
 
     def test_parse_replica_spec(self):
         known = {"karate", "dolphin"}
@@ -422,7 +425,6 @@ class TestStatsSchema:
         "edges",
         "executor",
         "snapshot",
-        "routing",
         "replica_count",
         "queries",
         "cache_hits",
@@ -483,19 +485,15 @@ class TestStatsSchema:
 
         assert set(payload["placement"]) == {
             "executor",
-            "routing",
-            "snapshot",
             "index",
             "index_dir",
             "replicas",
             "replica_overrides",
             "max_queue",
             "epochs",
-            "epoch_threshold",
         }
-        # a static server: epochs off, no threshold, no per-shard epoch block
+        # a static server: epochs off, no per-shard epoch block
         assert payload["placement"]["epochs"] is False
-        assert payload["placement"]["epoch_threshold"] is None
         shard = payload["shards"]["karate"]
         assert set(shard) == self.SHARD_KEYS
         # no index file here, so the tier reports the executed fallback

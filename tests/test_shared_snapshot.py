@@ -9,9 +9,10 @@ Three concerns, mirroring the module's lifecycle rules:
   the structured :class:`GraphError` an attacher gets when the owner is
   already gone;
 * **process boundaries** — the descriptor pickles across a real ``spawn``
-  child, and the serving engine's shared mode exports exactly one segment
-  per shard, survives a worker crash (the respawned worker re-attaches),
-  and leaves nothing behind after close.
+  child, and the serving engine exports exactly one segment per shard,
+  survives a worker crash (the respawned worker re-attaches), falls back
+  to private copies when the export fails, and leaves nothing behind
+  after close.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ class TestServingSharedSnapshots:
 
     def test_process_replicas_share_one_segment_and_clean_up(self, karate):
         before = live_segment_names()
-        served, stats = self._serve(replicas=2, executor="process", snapshot="shared")
+        served, stats = self._serve(replicas=2, executor="process")
         assert stats["snapshot"] == "shared"
         for replica in stats["replicas"]:
             assert replica["executor"]["snapshot"] == "shared"
@@ -303,10 +304,20 @@ class TestServingSharedSnapshots:
         # the owner unlinked its segment on close: nothing survives
         assert live_segment_names() == before
 
-    def test_private_mode_opt_out(self):
-        _, stats = self._serve(replicas=1, executor="process", snapshot="private")
+    def test_share_failure_falls_back_to_private(self, karate, share_fails, own_shm_segments):
+        """A host whose export fails serves from private worker copies:
+        bit-identical answers, and nothing left in shared memory."""
+        before = live_segment_names()
+        served, stats = self._serve(replicas=1, executor="process")
         assert stats["snapshot"] == "private"
-        assert stats["replicas"][0]["executor"]["snapshot"] == "private"
+        worker = stats["replicas"][0]["executor"]
+        assert worker["kind"] == "process" and worker["snapshot"] == "private"
+        for (result, _, _), algorithm in zip(served, self.ALGORITHMS):
+            reference = run_algorithm(algorithm, karate.graph, [0, 33])
+            assert result.nodes == reference.nodes, algorithm
+            assert result.score == reference.score, algorithm
+        assert live_segment_names() == before
+        assert not own_shm_segments()
 
     def test_inline_executor_is_effectively_private(self):
         _, stats = self._serve(replicas=2)  # inline: nothing to attach
@@ -314,17 +325,16 @@ class TestServingSharedSnapshots:
         assert stats["snapshot"] == "private"
 
     def test_invalid_snapshot_mode_rejected(self):
-        with pytest.raises(ValueError, match="snapshot"):
-            ServingEngine(datasets=["karate"], snapshot="bogus")
+        # shared with the automatic private fallback is the only mode
+        with pytest.raises(TypeError):
+            ServingEngine(datasets=["karate"], snapshot="private")
 
     def test_worker_crash_respawns_and_reattaches(self, karate):
         """Kill the worker under a shared snapshot: the replacement must
         re-attach the same segment and keep serving bit-identically."""
 
         async def scenario():
-            async with ServingEngine(
-                datasets=["karate"], executor="process", snapshot="shared"
-            ) as engine:
+            async with ServingEngine(datasets=["karate"], executor="process") as engine:
                 first = await engine.query("karate", "kt", [0, 33])
                 replica = engine.shards["karate"].replica_set.replicas[0]
                 executor = replica.executor
