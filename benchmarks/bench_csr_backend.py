@@ -9,7 +9,8 @@ When the optional numpy tier is installed (``pip install -e ".[vec]"``)
 a second table compares the pure-python CSR kernels against their
 vectorised twins (:mod:`repro.graph.vec_kernels`) on the same graph and
 checks they are bit-identical — multi-source BFS including discovery
-order, edge support, and truss numbers, each also under an alive mask.
+order, edge support, and truss numbers, each also under an alive mask,
+and FPA end to end (nodes, score, removal order, trace).
 Without numpy the section prints a note and is skipped; parity of the
 dict-vs-CSR half is unaffected.
 
@@ -51,16 +52,24 @@ from repro.graph import (
 from repro.graph.vec_kernels import numpy_available, set_vec_enabled
 
 
-def run_vec_section(csr, query_index, check) -> list[tuple[str, float, float]]:
+def _fpa_answer(result):
+    """What FPA parity compares: nodes, score, removal order and trace."""
+    return (result.nodes, result.score, result.removal_order, result.trace)
+
+
+def run_vec_section(frozen, query_index, check) -> list[tuple[str, float, float]]:
     """Pure-python CSR kernels vs the numpy tier, bit-identical by assertion.
 
     Both tiers run through the *same* public entry points with the
     dispatch switch forced (``set_vec_enabled``), so this exercises
     exactly the code path serving traffic takes.  The alive-mask variants
     matter because the peeling algorithms call the kernels on shrinking
-    subgraphs, not just the full graph.
+    subgraphs, not just the full graph; the ``fpa`` row races FPA's
+    one-pass layer prune on each tier.
     """
     rows: list[tuple[str, float, float]] = []
+    csr = frozen.csr
+    query = csr.node_list[query_index]
     n = csr.number_of_nodes()
     index = csr_edge_index(csr)
     # a non-trivial alive mask: drop every 7th node
@@ -71,6 +80,7 @@ def run_vec_section(csr, query_index, check) -> list[tuple[str, float, float]]:
         ("vec_truss_numbers", lambda: csr_truss_numbers(csr, index)),
         ("vec_edge_support[alive]", lambda: csr_edge_support(csr, index, alive)),
         ("vec_truss_numbers[alive]", lambda: csr_truss_numbers(csr, index, alive)),
+        ("fpa", lambda: _fpa_answer(fpa(frozen, [query]))),
     ]
     try:
         for name, kernel in cases:
@@ -127,11 +137,7 @@ def run(scale: float = 1.0, parity_only: bool = False, json_path: str | None = N
     # full algorithms
     dict_seconds, dict_fpa = _time(lambda: fpa(graph, [query]), repeat=2)
     csr_seconds, csr_fpa = _time(lambda: fpa(frozen, [query]), repeat=2)
-    check(
-        "fpa",
-        (dict_fpa.nodes, dict_fpa.score, dict_fpa.trace)
-        == (csr_fpa.nodes, csr_fpa.score, csr_fpa.trace),
-    )
+    check("fpa", _fpa_answer(dict_fpa) == _fpa_answer(csr_fpa))
     rows.append(("fpa", dict_seconds, csr_seconds))
 
     dict_seconds, dict_nca = _time(lambda: nca(graph, [query]), repeat=1)
@@ -145,7 +151,7 @@ def run(scale: float = 1.0, parity_only: bool = False, json_path: str | None = N
 
     vec_rows: list[tuple[str, float, float]] = []
     if numpy_available():
-        vec_rows = run_vec_section(csr, query_index, check)
+        vec_rows = run_vec_section(frozen, query_index, check)
     else:
         print("vec tier: numpy not installed; skipping the vectorised kernel comparison")
 

@@ -20,13 +20,23 @@ Two backends implement the same peel:
 
 * the dict backend (reference) traverses the dict-of-dicts adjacency of the
   original graph — the query component is closed under adjacency, so no
-  subgraph copy is ever materialised;
+  subgraph copy is ever materialised — and removes every node one at a
+  time, layer prune included;
 * the CSR backend runs when the input is a
   :class:`~repro.graph.csr.FrozenGraph` and works on flat integer arrays.
+  Its layer prune is one pass over the edges: whole-layer removal follows
+  one fixed peel order (outermost layer first, BFS discovery order within
+  a layer), so ranking the nodes by that order gives the internal edge
+  count after every removal from one count of each edge's lower-ranked
+  endpoint.  The same pass scores every layer prefix and supplies the
+  committed prefix's trace, so no node is removed twice
+  (:func:`_csr_layer_prune`); with numpy the pass is vectorised.
 
 Both backends visit sources, layers and neighbours in identical orders
-(insertion order of the graph, query/connector nodes sorted by ``repr``),
-so their results are bit-identical.
+(insertion order of the graph, query/connector nodes sorted by ``repr``)
+and feed exact integer counts to one formula kernel
+(:mod:`repro.core.objectives`), so their results — nodes, score, removal
+order and every trace float — are bit-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +45,8 @@ import heapq
 import random
 import time
 from collections.abc import Sequence
+from itertools import groupby
+from typing import Optional
 
 from ..graph import (
     CSRGraph,
@@ -43,16 +55,21 @@ from ..graph import (
     GraphError,
     Node,
     connected_component_containing,
-    csr_connected_component,
     csr_multi_source_bfs,
     csr_shortest_path,
     multi_source_bfs,
     nodes_in_same_component,
     query_connector,
+    vec_kernels,
 )
 from ..modularity import CommunityStatistics
 from .framework import CSRPeelState, graph_backend
-from .objectives import SUBGRAPH_OBJECTIVES, evaluate_objective, objective_from_scalars
+from .objectives import (
+    SUBGRAPH_OBJECTIVES,
+    evaluate_objective,
+    objective_from_scalars,
+    objective_values,
+)
 from .result import CommunityResult
 
 __all__ = ["fpa", "fpa_search"]
@@ -369,28 +386,25 @@ def _fpa_csr(
             raise GraphError(f"query node {node!r} is not in the graph")
     query_indices = [index_of[node] for node in queries]
 
-    component = csr_connected_component(csr, query_indices[0])
-    component_mask = bytearray(csr.number_of_nodes())
-    for index in component:
-        component_mask[index] = 1
-    if any(not component_mask[index] for index in query_indices):
+    node_list = csr.node_list
+    # the connector's path search doubles as the same-component check
+    protected = _csr_query_connector(csr, queries, seed) if len(queries) > 1 else set(query_indices)
+    if protected is None:
         return CommunityResult.empty(
             queries, algorithm, reason="query nodes are not in the same connected component"
         )
 
-    node_list = csr.node_list
-    protected = _csr_query_connector(csr, queries, seed) if len(queries) > 1 else set(query_indices)
-
+    # The protected set is connected and the component adjacency-closed, so
+    # the BFS from the protected nodes discovers exactly the component (for
+    # |Q| = 1 it *is* the component BFS).
     sources = sorted(protected, key=lambda i: repr(node_list[i]))
-    dist, discovery_order = csr_multi_source_bfs(csr, sources)
+    dist, component = csr_multi_source_bfs(csr, sources)
     state = CSRPeelState(csr, component)
-    is_protected = bytearray(csr.number_of_nodes())
-    for index in protected:
-        is_protected[index] = 1
 
-    layers: dict[int, list[int]] = {}
-    for index in discovery_order:
-        layers.setdefault(dist[index], []).append(index)
+    # BFS discovers layer by layer, so each distance is one run of the order
+    # and each layer lists its nodes in discovery order; layer d > 0 holds no
+    # protected node.
+    layers = {d: list(run) for d, run in groupby(component, dist.__getitem__)}
     layer_distances = sorted((d for d in layers if d > 0), reverse=True)
 
     removal_order: list[int] = []
@@ -404,17 +418,15 @@ def _fpa_csr(
         fine_layers = layer_distances
 
     for layer_dist in fine_layers:
-        candidates = [
-            index for index in layers[layer_dist] if state.alive[index] and not is_protected[index]
-        ]
-        if not candidates:
-            continue
-        _csr_peel_layer(state, candidates, selection, objective, dist, removal_order, trace)
+        _csr_peel_layer(
+            state, layers[layer_dist], selection, objective, dist, removal_order, trace
+        )
 
-    best_index = max(range(len(trace)), key=lambda i: (trace[i], i))
+    best_index = _last_argmax(trace)
     best_value = trace[best_index]
-    removed_prefix = set(removal_order[:best_index])
-    best_nodes = frozenset(node_list[i] for i in component if i not in removed_prefix)
+    kept = set(component)
+    kept.difference_update(removal_order[:best_index])
+    best_nodes = frozenset(map(node_list.__getitem__, kept))
 
     elapsed = time.perf_counter() - start
     return CommunityResult(
@@ -424,7 +436,7 @@ def _fpa_csr(
         score=best_value,
         objective_name=objective,
         elapsed_seconds=elapsed,
-        removal_order=tuple(node_list[i] for i in removal_order),
+        removal_order=tuple(map(node_list.__getitem__, removal_order)),
         trace=tuple(trace),
         extra={
             "selection": selection,
@@ -436,14 +448,14 @@ def _fpa_csr(
     )
 
 
-def _csr_query_connector(csr: CSRGraph, queries: frozenset, seed: int) -> set[int]:
+def _csr_query_connector(csr: CSRGraph, queries: frozenset, seed: int) -> Optional[set[int]]:
     """Index-based replica of :func:`repro.graph.steiner.query_connector`.
 
     Must choose the same root (same RNG draw over the same repr-sorted query
     list) and the same shortest paths (identical BFS neighbour order) as the
-    dict implementation.
+    dict implementation.  Returns ``None`` when some query is unreachable
+    from the root, i.e. the queries span several components.
     """
-    node_list = csr.node_list
     query_list = [csr.index_of[node] for node in sorted(queries, key=repr)]
     rng = random.Random(seed)
     root = query_list[rng.randrange(len(query_list))]
@@ -453,10 +465,7 @@ def _csr_query_connector(csr: CSRGraph, queries: frozenset, seed: int) -> set[in
             continue
         path = csr_shortest_path(csr, root, target)
         if path is None:
-            raise GraphError(
-                f"query nodes {node_list[root]!r} and {node_list[target]!r} "
-                "are not in the same connected component"
-            )
+            return None
         connector.update(path)
     return connector
 
@@ -469,52 +478,90 @@ def _csr_layer_prune(
     removal_order: list[int],
     trace: list[float],
 ) -> list[int]:
-    """Index-based replica of :func:`_layer_prune` (Section 5.7)."""
-    # Evaluate the objective after removing each whole outer layer on scratch scalars.
-    csr = state.csr
-    num_edges = csr.num_edges
-    scratch_alive = bytearray(state.alive)
-    scratch_size = state.size
-    scratch_internal = state.internal
-    scratch_degree_sum = state.degree_sum
-    degree = state.degree
-    adj = state.adj
-    prefix_values: list[tuple[int, float]] = [
-        (0, objective_from_scalars(num_edges, scratch_internal, scratch_degree_sum, scratch_size, objective))
-    ]
-    for prefix_index, layer_dist in enumerate(layer_distances, start=1):
-        for index in layers[layer_dist]:
-            if not scratch_alive[index]:
-                continue
-            scratch_alive[index] = 0
-            scratch_size -= 1
-            lost = 0
-            for neighbor in adj[index]:
-                if scratch_alive[neighbor]:
-                    lost += 1
-            scratch_internal -= lost
-            scratch_degree_sum -= degree[index]
-        if scratch_size == 0:
-            break
-        prefix_values.append(
-            (
-                prefix_index,
-                objective_from_scalars(
-                    num_edges, scratch_internal, scratch_degree_sum, scratch_size, objective
-                ),
-            )
+    """Section 5.7 in one pass over the edges; same result as :func:`_layer_prune`.
+
+    The dict reference removes whole layers, outermost first, each in BFS
+    discovery order, so every layer prefix is a prefix of one fixed peel
+    order.  One pass gives the community scalars after *every* removal of
+    that order: size drops by one per removal, the degree sum by the removed
+    node's degree, and the internal edge count by the removed node's
+    neighbours that are removed later or never (the protected nodes).  The
+    objective at each layer boundary picks the prefix (last maximum), and
+    the committed removals take their trace entries from the same pass, so
+    nothing is peeled twice; ``edges_into`` is recounted only for the next
+    layer, the one the fine peel reads.
+
+    The counts are exact integers, and the objectives go through the same
+    formula kernel as every other trace entry, elementwise on numpy
+    arrays on the vec tier (:func:`~repro.core.objectives.objective_values`),
+    so the floats are bit-identical to the node-by-node reference.
+    """
+    order = [index for layer_dist in layer_distances for index in layers[layer_dist]]
+    bounds = [0]
+    for layer_dist in layer_distances:
+        bounds.append(bounds[-1] + len(layers[layer_dist]))
+
+    num_edges = state.csr.num_edges
+    if vec_kernels.vec_enabled():
+        sizes, internals, degree_sums = vec_kernels.vec_peel_scalars(
+            state.csr, order, state.size, state.internal, state.degree_sum
         )
-    best_prefix, _ = max(prefix_values, key=lambda item: (item[1], item[0]))
+        values = objective_values(num_edges, internals, degree_sums, sizes, objective).tolist()
+    else:
+        sizes, internals, degree_sums = _peel_scalars(state, order)
+        values = [
+            objective_from_scalars(num_edges, l_c, d_c, size, objective)
+            for size, l_c, d_c in zip(sizes, internals, degree_sums)
+        ]
 
-    # Commit the selected prefix on the real statistics.
-    for layer_dist in layer_distances[:best_prefix]:
-        for index in layers[layer_dist]:
-            if state.alive[index]:
-                state.remove(index)
-                removal_order.append(index)
-                trace.append(state.objective(objective))
+    best_prefix = _last_argmax([values[bound] for bound in bounds])
+    committed = bounds[best_prefix]
+    fine_layers = layer_distances[best_prefix : best_prefix + 1]
+    if committed:
+        state.remove_many(
+            order[:committed],
+            float(internals[committed]),
+            float(degree_sums[committed]),
+            layers[fine_layers[0]] if fine_layers else [],
+        )
+        removal_order.extend(order[:committed])
+        trace.extend(values[1 : committed + 1])
+    return fine_layers
 
-    return layer_distances[best_prefix : best_prefix + 1]
+
+def _peel_scalars(
+    state: CSRPeelState, order: list[int]
+) -> tuple[list[int], list[float], list[float]]:
+    """Pure-Python :func:`~repro.graph.vec_kernels.vec_peel_scalars`.
+
+    One adjacency walk per node counts its neighbours ranked after it in
+    ``order`` (protected nodes rank after every removal).
+    """
+    count = len(order)
+    rank = [count] * len(state.alive)
+    for position, index in enumerate(order):
+        rank[index] = position
+    adj = state.adj
+    degree = state.degree
+    size, internal, degree_sum = state.size, state.internal, state.degree_sum
+    sizes, internals, degree_sums = [size], [internal], [degree_sum]
+    for position, index in enumerate(order):
+        later = 0
+        for neighbor in adj[index]:
+            if rank[neighbor] > position:
+                later += 1
+        size -= 1
+        internal -= later
+        degree_sum -= degree[index]
+        sizes.append(size)
+        internals.append(internal)
+        degree_sums.append(degree_sum)
+    return sizes, internals, degree_sums
+
+
+def _last_argmax(values: list[float]) -> int:
+    """Index of the last maximum: ties go to the later (smaller) subgraph."""
+    return len(values) - 1 - values[::-1].index(max(values))
 
 
 def _csr_peel_layer(

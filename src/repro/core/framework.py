@@ -72,9 +72,9 @@ class CSRPeelState:
         self.alive = bytearray(n)
         for index in component:
             self.alive[index] = 1
-        self.degree = csr.degrees()
+        self.degree = list(map(len, self.adj))
         self.size = len(component)
-        self.degree_sum = float(sum(self.degree[i] for i in component))
+        self.degree_sum = float(sum(map(self.degree.__getitem__, component)))
         # the query component is adjacency-closed: every incident edge is internal
         self.internal = float(int(self.degree_sum) // 2)
         self.edges_into = list(self.degree)
@@ -92,6 +92,26 @@ class CSRPeelState:
                 edges_into[neighbor] -= 1
         self.internal -= lost
         self.degree_sum -= self.degree[index]
+
+    def remove_many(
+        self, removed: list[int], internal: float, degree_sum: float, recount: list[int]
+    ) -> None:
+        """Remove ``removed`` in one step, adopting the scalars they leave behind.
+
+        ``internal`` and ``degree_sum`` are the caller's exact counts for the
+        community without ``removed``.  ``edges_into`` is recounted only for
+        ``recount``, the nodes the peel reads next; other entries go stale.
+        """
+        alive = self.alive
+        for index in removed:
+            alive[index] = 0
+        self.size -= len(removed)
+        self.internal = internal
+        self.degree_sum = degree_sum
+        adj = self.adj
+        edges_into = self.edges_into
+        for index in recount:
+            edges_into[index] = sum(map(alive.__getitem__, adj[index]))
 
     def objective(self, objective: str) -> float:
         """Return the requested objective of the current community."""

@@ -11,8 +11,14 @@ from __future__ import annotations
 
 from ..graph import Graph, GraphError
 from ..modularity import CommunityStatistics
+from ..modularity.density import NO_EDGES
 
-__all__ = ["SUBGRAPH_OBJECTIVES", "evaluate_objective", "objective_from_scalars"]
+__all__ = [
+    "SUBGRAPH_OBJECTIVES",
+    "evaluate_objective",
+    "objective_from_scalars",
+    "objective_values",
+]
 
 SUBGRAPH_OBJECTIVES = (
     "density_modularity",
@@ -32,16 +38,37 @@ def objective_from_scalars(
     """
     if size == 0:
         raise GraphError("cannot evaluate an objective on an empty community")
+    if num_edges == 0:
+        raise GraphError(NO_EDGES)
+    return _formula(num_edges, l_c, d_c, size, objective)
+
+
+def objective_values(num_edges: int, l_c, d_c, size, objective: str):
+    """Elementwise :func:`objective_from_scalars` over numpy arrays.
+
+    ``l_c`` and ``d_c`` are float64 arrays of exact integers and ``size`` an
+    int64 array with every entry >= 1.  The arrays go through the same
+    :func:`_formula` operations in the same order, and numpy's ``+ - * /``
+    round exactly like Python's float operators (IEEE 754 doubles), so each
+    entry is bit-identical to the scalar call on the same inputs.
+    """
+    if num_edges == 0:
+        raise GraphError(NO_EDGES)
+    return _formula(num_edges, l_c, d_c, size, objective)
+
+
+def _formula(num_edges, l_c, d_c, size, objective: str):
+    """The objectives in plain operators, so scalars and arrays share them."""
     numerator = 2.0 * l_c - (d_c * d_c) / (2.0 * num_edges)
     if objective == "density_modularity":
         return numerator / (2.0 * size)
     if objective == "classic_modularity":
         return numerator / (2.0 * num_edges)
     if objective == "generalized_modularity_density":
-        if size == 1:
-            internal_density = 0.0
-        else:
-            internal_density = 2.0 * l_c / (size * (size - 1))
+        # a singleton has no node pairs and internal density 0; written
+        # without a branch (divisor 1, factor 0) so it also runs elementwise
+        pairs = size * (size - 1)
+        internal_density = 2.0 * l_c / (pairs + (pairs == 0)) * (pairs != 0)
         return (numerator / (2.0 * num_edges)) * internal_density
     raise GraphError(
         f"unknown objective {objective!r}; expected one of {', '.join(SUBGRAPH_OBJECTIVES)}"

@@ -64,6 +64,7 @@ class CSRGraph:
         "total_weight",
         "_adj_lists",
         "_np_cache",
+        "_np_edges",
     )
 
     def __init__(
@@ -87,6 +88,7 @@ class CSRGraph:
         self.total_weight = total_weight
         self._adj_lists: Optional[list[list[int]]] = None
         self._np_cache = None  # numpy views of indptr/indices (vec_kernels)
+        self._np_edges = None  # numpy forward-edge endpoints (vec_kernels)
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
@@ -128,11 +130,6 @@ class CSRGraph:
     def degree(self, index: int) -> int:
         """Return the degree of node ``index``."""
         return self.indptr[index + 1] - self.indptr[index]
-
-    def degrees(self) -> list[int]:
-        """Return the degree of every node, indexed positionally."""
-        indptr = self.indptr
-        return [indptr[i + 1] - indptr[i] for i in range(len(self.node_list))]
 
     def neighbors(self, index: int) -> array:
         """Return the neighbour indices of node ``index`` (a zero-copy-ish slice)."""

@@ -3,9 +3,9 @@
 The pure-python CSR kernels (:mod:`repro.graph.csr`,
 :mod:`repro.graph.csr_truss`) pay a Python-level loop iteration per edge
 touch.  This module provides vectorised twins for the kernels that dominate
-serving traffic and the epoch write path — multi-source BFS, edge
-numbering, edge-support counting, truss peeling and the community-index
-hierarchy layout — as an *optional* tier:
+serving traffic and the epoch write path — multi-source BFS, FPA's peel
+scalars, edge numbering, edge-support counting, truss peeling and the
+community-index hierarchy layout — as an *optional* tier:
 
 * numpy is an extra (``pip install -e ".[vec]"``), never a hard
   dependency: without it every entry point below reports unavailable and
@@ -20,8 +20,9 @@ hierarchy layout — as an *optional* tier:
   re-sorted, reproduce the sequential frontier order), support / truss
   values are order-independent graph invariants, so the
   level-synchronous peel returns exactly what the sequential bucket
-  queue returns, and component labels are ranked by min member index,
-  which is the sequential sweep's first-seen order.
+  queue returns, component labels are ranked by min member index,
+  which is the sequential sweep's first-seen order, and peel scalars are
+  exact integer counts.
 
 The kernels read the CSR's ``indptr`` / ``indices`` buffers through
 ``np.frombuffer`` — zero-copy whether the buffers are private ``array``
@@ -43,6 +44,7 @@ __all__ = [
     "vec_enabled",
     "set_vec_enabled",
     "vec_multi_source_bfs",
+    "vec_peel_scalars",
     "vec_edge_numbering",
     "vec_edge_support",
     "vec_truss_numbers",
@@ -184,6 +186,56 @@ def vec_multi_source_bfs(csr, sources, alive=None):
         order_parts.append(frontier)
     order = np.concatenate(order_parts) if len(order_parts) > 1 else order_parts[0]
     return dist.tolist(), order.tolist()
+
+
+# ----------------------------------------------------------------------------
+# peel scalars (FPA's layer prune)
+# ----------------------------------------------------------------------------
+
+
+def _forward_edges(csr):
+    """Every edge once as ``(u, v)`` int64 columns with ``u < v``, cached on the CSR."""
+    cached = csr._np_edges
+    if cached is None:
+        np = _np()
+        indptr, indices = _csr_arrays(csr)
+        src = np.repeat(np.arange(csr.number_of_nodes(), dtype=np.int64), np.diff(indptr))
+        forward = src < indices
+        cached = (src[forward], indices[forward].astype(np.int64))
+        csr._np_edges = cached
+    return cached
+
+
+def vec_peel_scalars(csr, order, size, internal, degree_sum):
+    """Community scalars after each removal of a fixed peel ``order``.
+
+    The community is an adjacency-closed node set with scalars ``size``,
+    ``internal`` (edges) and ``degree_sum``; ``order`` lists the members
+    removed, first to last.  Returns ``(sizes, internals, degree_sums)``,
+    each of length ``len(order) + 1``; entry ``i`` describes the community
+    after ``i`` removals.  Give node ``order[r]`` rank ``r`` and every other
+    node rank ``len(order)``: removal ``r`` loses exactly the edges whose
+    lower-ranked endpoint is ``order[r]``, so one ``bincount`` of
+    ``min(rank[u], rank[v])`` over the forward edges and a ``cumsum`` give
+    every count.  Edges of other components never rank below ``len(order)``
+    and drop out.  All counts are exact integers (floats below 2**53).
+    """
+    np = _np()
+    count = len(order)
+    peel = np.asarray(order, dtype=np.int64)
+    rank = np.full(csr.number_of_nodes(), count, dtype=np.int64)
+    rank[peel] = np.arange(count)
+    eu, ev = _forward_edges(csr)
+    lost = np.bincount(np.minimum(rank[eu], rank[ev]), minlength=count + 1)[:count]
+    indptr, _ = _csr_arrays(csr)
+    sizes = size - np.arange(count + 1, dtype=np.int64)
+    internals = np.empty(count + 1, dtype=np.float64)
+    internals[0] = internal
+    internals[1:] = internal - np.cumsum(lost)
+    degree_sums = np.empty(count + 1, dtype=np.float64)
+    degree_sums[0] = degree_sum
+    degree_sums[1:] = degree_sum - np.cumsum(indptr[peel + 1] - indptr[peel])
+    return sizes, internals, degree_sums
 
 
 # ----------------------------------------------------------------------------

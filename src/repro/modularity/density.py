@@ -43,6 +43,9 @@ __all__ = [
     "CommunityStatistics",
 ]
 
+#: the error every density-modularity evaluation raises on an edgeless graph
+NO_EDGES = "graph has no edges; density modularity is undefined"
+
 
 class CommunityStatistics:
     """Incrementally maintained statistics of a community under node removal.
@@ -105,9 +108,13 @@ class CommunityStatistics:
             raise GraphError("community is empty")
         if self.weighted:
             w_g = self.graph.total_edge_weight()
+            if w_g == 0:
+                raise GraphError(NO_EDGES)
             d_c = self.degree_sum
             return (self.internal_edges - (d_c * d_c) / (4.0 * w_g)) / self.size
         num_edges = self.graph.number_of_edges()
+        if num_edges == 0:
+            raise GraphError(NO_EDGES)
         d_c = self.degree_sum
         numerator = 2.0 * self.internal_edges - (d_c * d_c) / (2.0 * num_edges)
         return numerator / (2.0 * self.size)
@@ -131,13 +138,13 @@ def density_modularity(graph: Graph, community: Iterable[Node], weighted: bool =
     if weighted:
         w_g = graph.total_edge_weight()
         if w_g == 0:
-            raise GraphError("graph has no edges; density modularity is undefined")
+            raise GraphError(NO_EDGES)
         w_c = internal_edge_weight(graph, members)
         d_c = total_weighted_degree(graph, members)
         return (w_c - (d_c * d_c) / (4.0 * w_g)) / len(members)
     num_edges = graph.number_of_edges()
     if num_edges == 0:
-        raise GraphError("graph has no edges; density modularity is undefined")
+        raise GraphError(NO_EDGES)
     l_c = internal_edge_count(graph, members)
     d_c = total_degree(graph, members)
     return (2.0 * l_c - (d_c * d_c) / (2.0 * num_edges)) / (2.0 * len(members))

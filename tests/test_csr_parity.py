@@ -583,15 +583,31 @@ class TestVecTierParity:
         assert vectorised == reference
 
     def test_algorithms_parity(self, zoo_graph):
-        """NCA and FPA on fresh snapshots per tier (no shared memo cache)."""
-        query = [next(iter(zoo_graph.iter_nodes()))]
+        """NCA and every FPA variant on fresh snapshots per tier (no shared
+        memo cache): single- and multi-query sets, two connector seeds,
+        removal orders included."""
+        nodes = [node for node in zoo_graph.iter_nodes() if zoo_graph.degree(node) > 0]
+        query_sets = ([nodes[0]], nodes[:4], nodes[-3:])
+        fpa_variants = [
+            {},
+            {"layer_pruning": False},
+            {"selection": "gain"},
+            {"selection": "gain", "layer_pruning": False},
+            {"objective": "classic_modularity"},
+            {"objective": "generalized_modularity_density"},
+        ]
 
         def run_algorithms():
             frozen = freeze(zoo_graph)  # fresh: memoisation cannot leak tiers
             results = []
-            for algorithm in (nca, fpa):
-                result = algorithm(frozen, query)
-                results.append((result.nodes, result.score, result.trace))
+            for queries in query_sets:
+                runs = [nca(frozen, queries)]
+                for kwargs in fpa_variants:
+                    runs.extend(fpa(frozen, queries, seed=seed, **kwargs) for seed in (0, 1))
+                results.extend(
+                    (result.nodes, result.score, result.removal_order, result.trace)
+                    for result in runs
+                )
             return results
 
         reference, vectorised = self._both_tiers(run_algorithms)
