@@ -36,7 +36,7 @@ and the run fails unless every replica reports ``restarts == 0``.
 
 The timing phase (skipped under ``--parity-only``) compares the two
 publication paths on a bigger mutation stream in-process: a from-scratch
-refreeze per batch vs the incremental core/support/truss repair, and
+refreeze per batch vs the incremental core/truss repair, and
 times the per-epoch rebuild of a bound community index.  The wall-clock
 numbers ride the JSON record and are **never** asserted.
 

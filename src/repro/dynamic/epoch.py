@@ -1,11 +1,12 @@
 """Epochal snapshot publication: apply a delta, publish a new frozen graph.
 
 :class:`EpochManager` owns the evolving state of one dataset: the current
-mutable graph, its exact core-number and triangle-support state, the
-current :class:`~repro.graph.csr.FrozenGraph` and the **epoch** — a
-monotonically increasing integer that names each published snapshot.  The
-serving tier keys result caches by epoch and stamps every response with
-it, so "which graph answered this query" is always explicit on the wire.
+mutable graph, its exact core numbers, the current
+:class:`~repro.graph.csr.FrozenGraph` (whose memo holds the committed
+per-edge-id truss numbers) and the **epoch** — a monotonically increasing
+integer that names each published snapshot.  The serving tier keys result
+caches by epoch and stamps every response with it, so "which graph
+answered this query" is always explicit on the wire.
 
 Publication is two-phase so callers can interpose work between computing a
 snapshot and exposing it (the serving layer republishes the community
@@ -21,12 +22,14 @@ long-lived replicas at the swap):
 * :meth:`commit` swaps the prepared state in and advances the epoch.
 
 The primed memo entries are exactly the values a from-scratch freeze would
-derive lazily (same list orders, same canonical dict keys), which is the
-bit-identical parity contract the tests and the ``dynamic-smoke`` CI job
-enforce.  The truss decomposition is re-peeled at publish time: seeded with
-the maintained supports on the pure-python tier; on the numpy tier the
-vectorised peel recounts triangles (cheaper than converting the support
-dict), and the canonical support dict is left to its lazy memo.
+derive lazily (same list orders), which is the bit-identical parity
+contract the tests and the ``dynamic-smoke`` CI job enforce.  On an
+incremental epoch both decompositions are repaired per edit
+(:mod:`repro.dynamic.incremental`): the truss stage carries the committed
+truss list onto the new edge ids and patches the entries the batch changed,
+so no triangle is listed and nothing is peeled.  Only a batch whose repair
+visits more candidate edges than the committed snapshot has edges re-peels
+the new snapshot.  The canonical support dict is left to its lazy memo.
 """
 
 from __future__ import annotations
@@ -37,13 +40,12 @@ from time import time as wall_time
 from typing import Any, Optional
 
 from ..graph.csr import FrozenGraph, csr_core_numbers, freeze
-from ..graph.csr_truss import csr_edge_index, csr_edge_support, csr_truss_numbers
+from ..graph.csr_truss import csr_edge_index, csr_truss_numbers
 from ..graph.graph import Edge, Graph, Node
 from ..graph.index import CommunityIndex, _assemble_index
-from ..graph.trussness import _edge_value_dict, edge_support
-from ..graph.vec_kernels import vec_enabled
+from ..graph.trussness import _frozen_edge_index, _frozen_edge_truss, edge_support
 from .delta import DeltaBatch
-from .incremental import apply_op
+from .incremental import TrussRepair, apply_op
 
 __all__ = ["EpochManager", "PreparedEpoch"]
 
@@ -77,7 +79,6 @@ class PreparedEpoch:
         "frozen",
         "graph",
         "core",
-        "support",
         "index",
         "index_seconds",
     )
@@ -91,7 +92,6 @@ class PreparedEpoch:
         frozen: FrozenGraph,
         graph: Graph,
         core: dict[Node, int],
-        support: dict[Edge, int],
         index: Optional[CommunityIndex] = None,
         index_seconds: float = 0.0,
     ) -> None:
@@ -101,7 +101,6 @@ class PreparedEpoch:
         self.frozen = frozen
         self.graph = graph
         self.core = core
-        self.support = support
         self.index = index
         self.index_seconds = index_seconds
 
@@ -141,7 +140,6 @@ class EpochManager:
         self.frozen = frozen if frozen is not None else freeze(graph)
         self._graph = graph
         self._core: Optional[dict[Node, int]] = None
-        self._support: Optional[dict[Edge, int]] = None
         self.index: Optional[CommunityIndex] = None
         # counters (JSON-safe via describe())
         self.batches = 0
@@ -167,15 +165,14 @@ class EpochManager:
     # ------------------------------------------------------------------
     # decomposition state
     # ------------------------------------------------------------------
-    def _state(self) -> tuple[dict[Node, int], dict[Edge, int]]:
-        """The committed core/support dicts, derived lazily from the snapshot."""
-        if self._core is None or self._support is None:
+    def _committed_core(self) -> dict[Node, int]:
+        """The committed core numbers, derived lazily from the snapshot."""
+        if self._core is None:
             csr = self.frozen.csr
             cache = self.frozen.shared_cache()
             core_list = cache.memo(("csr-core-numbers",), lambda: csr_core_numbers(csr))
             self._core = dict(zip(csr.node_list, core_list))
-            self._support = edge_support(self.frozen)  # the memo; never mutated
-        return self._core, self._support
+        return self._core
 
     # ------------------------------------------------------------------
     # two-phase publication
@@ -190,7 +187,12 @@ class EpochManager:
         ``tracer`` it spans the whole prepare, with one child span per
         stage: ``epoch.copy``, ``epoch.apply``, ``epoch.freeze``,
         ``epoch.edge_index``, ``epoch.core_support``, ``epoch.truss`` and,
-        with a bound index, ``epoch.index``.
+        with a bound index, ``epoch.index``.  ``epoch.apply`` includes the
+        per-edit core and truss repair; on an incremental epoch
+        ``epoch.truss`` times carrying the repaired truss numbers onto the
+        new edge ids, and it times a whole-graph peel only on a refreeze
+        or when the repair gave up on its work bound.
+        ``epoch.core_support`` times the core numbers.
         """
         tracer = self.tracer if trace is not None else None
         prepare_started = wall_time() if tracer is not None else 0.0
@@ -207,11 +209,19 @@ class EpochManager:
         incremental = len(ops) <= self.threshold
         with stage("epoch.apply"):
             if incremental:
-                committed_core, committed_support = self._state()
-                core = dict(committed_core)
-                support = dict(committed_support)
+                core = dict(self._committed_core())
+                # the committed truss list lives in the snapshot's memo; the
+                # repair may visit as many candidate edges as the snapshot
+                # has edges before a whole-graph peel is the cheaper way
+                committed_index = _frozen_edge_index(self.frozen)
+                truss = TrussRepair(
+                    self.frozen.csr,
+                    committed_index,
+                    _frozen_edge_truss(self.frozen),
+                    budget=committed_index.num_edges,
+                )
                 for op in ops:
-                    apply_op(working, core, support, op)
+                    apply_op(working, core, truss, op)
             else:
                 batch.apply(working)
         with stage("epoch.freeze"):
@@ -220,35 +230,26 @@ class EpochManager:
         with stage("epoch.edge_index"):
             index = csr_edge_index(csr)
         with stage("epoch.core_support"):
-            support_list = support_values = None
-            if not incremental:
-                core_list = csr_core_numbers(csr)
-                support_list = csr_edge_support(csr, index)
-                core = dict(zip(csr.node_list, core_list))
-                support_values = _edge_value_dict(frozen, index, support_list)
-                support = dict(support_values)
-            else:
+            if incremental:
                 core_list = [core[node] for node in csr.node_list]
-                if not vec_enabled():
-                    # the pure-python peel takes the maintained supports as
-                    # its seed; the vec peel reads them off its triangle table
-                    keys = _edge_value_dict(frozen, index, range(index.num_edges))
-                    support_values = {key: support[key] for key in keys}
-                    support_list = list(support_values.values())
+            else:
+                core_list = csr_core_numbers(csr)
+                core = dict(zip(csr.node_list, core_list))
         with stage("epoch.truss"):
-            truss_list = csr_truss_numbers(csr, index, support=support_list)
+            if incremental and not truss.exhausted:
+                truss_list = truss.carry(csr, index)
+            else:
+                truss_list = csr_truss_numbers(csr, index)
         # prime the new snapshot's memo cache with the maintained values —
         # the exact base keys the lazy paths would fill; every derived
         # format (core dicts, truss dicts, k-core structures) computes
         # through these, so serving the new epoch never re-derives what the
         # incremental repair already knows.  The canonical support dict is
-        # primed only if built here; else its lazy memo derives it on demand.
+        # left to its lazy memo.
         cache = frozen.shared_cache()
         cache[("csr-core-numbers",)] = list(core_list)
         cache[("csr-edge-index",)] = index
-        if support_values is not None:
-            cache[("edge-support",)] = support_values
-        cache[("csr-edge-truss",)] = list(truss_list)
+        cache[("csr-edge-truss",)] = truss_list
         # rebuild the bound community index from the decompositions just
         # computed, off the serving path, so it is never stale
         index_new: Optional[CommunityIndex] = None
@@ -278,7 +279,6 @@ class EpochManager:
             frozen=frozen,
             graph=working,
             core=core,
-            support=support,
             index=index_new,
             index_seconds=index_seconds,
         )
@@ -292,7 +292,6 @@ class EpochManager:
             )
         self._graph = prepared.graph
         self._core = prepared.core
-        self._support = prepared.support
         self.frozen = prepared.frozen
         self.epoch = prepared.epoch
         self.batches += 1
@@ -319,11 +318,11 @@ class EpochManager:
 
     def core_numbers(self) -> dict[Node, int]:
         """The committed core numbers (a copy)."""
-        return dict(self._state()[0])
+        return dict(self._committed_core())
 
     def edge_supports(self) -> dict[Edge, int]:
         """The committed triangle supports, canonically keyed (a copy)."""
-        return dict(self._state()[1])
+        return dict(edge_support(self.frozen))
 
     def describe(self) -> dict[str, Any]:
         """JSON-safe counters for the serving tier's ``epoch`` stats block."""

@@ -243,8 +243,7 @@ def csr_truss_numbers(
     — the returned list is identical either way.
 
     ``support`` optionally seeds the peel with already-known per-edge-id
-    triangle counts (the dynamic tier maintains them incrementally across
-    epochs), skipping this peel's triangle-counting pass.  The seed must
+    triangle counts, skipping this peel's triangle-counting pass.  The seed must
     equal what :func:`csr_edge_support` would return; the peel is a pure
     function of the supports, so the result is identical.
     """

@@ -4,8 +4,9 @@ The pure-python CSR kernels (:mod:`repro.graph.csr`,
 :mod:`repro.graph.csr_truss`) pay a Python-level loop iteration per edge
 touch.  This module provides vectorised twins for the kernels that dominate
 serving traffic and the epoch write path — multi-source BFS, FPA's peel
-scalars, edge numbering, edge-support counting, truss peeling and the
-community-index hierarchy layout — as an *optional* tier:
+scalars, edge numbering, edge-support counting, truss peeling, carrying
+per-edge values across epochs and the community-index hierarchy layout —
+as an *optional* tier:
 
 * numpy is an extra (``pip install -e ".[vec]"``), never a hard
   dependency: without it every entry point below reports unavailable and
@@ -47,6 +48,7 @@ __all__ = [
     "vec_peel_scalars",
     "vec_edge_numbering",
     "vec_edge_support",
+    "vec_carry_edge_values",
     "vec_truss_numbers",
     "vec_hierarchy_layout",
 ]
@@ -438,6 +440,38 @@ def vec_edge_support(csr, index, alive=None):
         )
         support[~edge_alive] = -1
     return support.tolist()
+
+
+def vec_carry_edge_values(old_index, old_to_new, csr, index, values, patch):
+    """Map per-edge-id ``values`` of an older snapshot onto ``index``'s ids.
+
+    ``old_to_new`` gives each old node position its position in ``csr``
+    (``-1`` when the node is gone); old edges whose endpoints both survive
+    and are still adjacent keep their value, found with one ``searchsorted``
+    over the new edge keys.  ``patch`` holds ``(u, v, value)`` triples in new
+    positions that overwrite the carried values (edges absent before, or
+    whose value changed); edges neither carried nor patched read ``-1``.
+    """
+    np = _np()
+    m = index.num_edges
+    if m == 0:
+        return []
+    n = csr.number_of_nodes()
+    _, _, sorted_keys, ids_by_key = _edge_data(np, csr, index)
+    carried = np.full(m, -1, dtype=np.int64)
+    mapping = np.asarray(old_to_new, dtype=np.int64)
+    a = mapping[np.frombuffer(old_index.eu, dtype=_int_dtype(np, old_index.eu))]
+    b = mapping[np.frombuffer(old_index.ev, dtype=_int_dtype(np, old_index.ev))]
+    keep = (a >= 0) & (b >= 0)
+    a, b = a[keep], b[keep]
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    ids, found = _lookup_edges(np, sorted_keys, ids_by_key, keys)
+    carried[ids[found]] = np.asarray(values, dtype=np.int64)[keep][found]
+    if patch:
+        a, b, patched = (np.asarray(column, dtype=np.int64) for column in zip(*patch))
+        keys = np.minimum(a, b) * n + np.maximum(a, b)
+        carried[_lookup_edges(np, sorted_keys, ids_by_key, keys)[0]] = patched
+    return carried.tolist()
 
 
 # ----------------------------------------------------------------------------

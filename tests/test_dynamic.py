@@ -27,12 +27,13 @@ import asyncio
 import functools
 import pickle
 import random
+import sys
 
 import pytest
 
 from repro.cluster import ClusterClient, Coordinator, NodeAgent
 from repro.datasets import load_dataset
-from repro.dynamic import DeltaBatch, EpochManager, parse_mutation_token
+from repro.dynamic import DeltaBatch, EpochManager, TrussRepair, apply_op, parse_mutation_token
 from repro.experiments.registry import run_algorithm
 from repro.graph import (
     Graph,
@@ -190,6 +191,21 @@ def assert_snapshot_parity(frozen, reference_graph):
             assert got.score == expected.score
 
 
+def spy_full_peels(monkeypatch):
+    """Record the edge count of every whole-graph truss peel ``prepare`` runs."""
+    from repro.dynamic import epoch
+
+    calls = []
+    real = epoch.csr_truss_numbers
+
+    def spy(csr, *args, **kwargs):
+        calls.append(csr.number_of_edges())
+        return real(csr, *args, **kwargs)
+
+    monkeypatch.setattr(epoch, "csr_truss_numbers", spy)
+    return calls
+
+
 def random_batch(rng, mirror, next_node, max_ops=5):
     """One valid delta batch against ``mirror`` (mutated alongside)."""
     batch = DeltaBatch()
@@ -317,7 +333,10 @@ class TestEpochManagerParity:
         finally:
             vec_kernels.set_vec_enabled(None)
 
-    def test_python_tier_prepare_primes_the_maintained_supports(self, karate):
+    def test_python_tier_prepare_primes_the_maintained_truss(self, karate, monkeypatch):
+        """The pure-python tier primes the repaired truss numbers; no epoch
+        of this script re-peels the snapshot."""
+        peels = spy_full_peels(monkeypatch)
         vec_kernels.set_vec_enabled(False)
         try:
             manager = EpochManager(karate.graph.copy())
@@ -330,8 +349,9 @@ class TestEpochManagerParity:
                     continue
                 prepared = manager.apply(batch)
                 assert prepared.mode == "incremental"
-                assert ("edge-support",) in prepared.frozen.shared_cache()
+                assert ("csr-edge-truss",) in prepared.frozen.shared_cache()
                 assert_snapshot_parity(manager.frozen, mirror)
+            assert peels == []
         finally:
             vec_kernels.set_vec_enabled(None)
 
@@ -373,6 +393,106 @@ class TestEpochManagerParity:
         assert describe["refrozen_batches"] == 1
         assert describe["ops_applied"] == 5
         assert describe["current"] == 2
+
+
+def assert_index_matches_fresh_build(maintained, reference_graph, dataset):
+    """Every region, the meta and the digest equal a from-scratch build."""
+    fresh = build_index(freeze(reference_graph), dataset=dataset)
+    assert maintained.meta["digest"] == fresh.meta["digest"]
+    for key, value in fresh.meta.items():
+        if key != "build_seconds":
+            assert maintained.meta[key] == value, key
+    assert set(maintained._fields) == set(fresh._fields)
+    for name in fresh._fields:
+        assert bytes(maintained._fields[name]) == bytes(fresh._fields[name]), name
+
+
+def top_truss_edges(frozen, count):
+    """The ``count`` highest-truss edges (ties by edge id) as node pairs."""
+    index = csr_edge_index(frozen.csr)
+    truss = csr_truss_numbers(frozen.csr, index)
+    nodes = frozen.csr.node_list
+    order = sorted(range(index.num_edges), key=lambda e: (-truss[e], e))[:count]
+    return [(nodes[index.eu[e]], nodes[index.ev[e]]) for e in order]
+
+
+def heaviest_deletion(manager, graph, edges):
+    """The edge of ``edges`` whose deletion visits the most candidate edges."""
+    frozen = manager.frozen
+    index = csr_edge_index(frozen.csr)
+    truss = csr_truss_numbers(frozen.csr, index)
+
+    def visits(edge):
+        repair = TrussRepair(frozen.csr, index, truss, budget=sys.maxsize)
+        apply_op(graph.copy(), manager.core_numbers(), repair, ("remove_edge", *edge))
+        return repair.visited
+
+    return max(edges, key=visits)
+
+
+def wedge_closing_edges(graph, community, count):
+    """Absent pairs inside ``community`` closing the most wedges within it."""
+    members = sorted(community, key=repr)
+    inside = set(members)
+    scored = []
+    for i, u in enumerate(members):
+        for v in members[i + 1 :]:
+            if not graph.has_edge(u, v):
+                common = set(graph.neighbors(u)) & set(graph.neighbors(v)) & inside
+                scored.append((-len(common), repr(u), repr(v), u, v))
+    return [(u, v) for *_, u, v in sorted(scored)[:count]]
+
+
+class TestAdversarialTrussRepair:
+    """The truss repair under the edits that move trussness most, on the
+    livejournal surrogate, on both tiers: the highest-truss edges deleted
+    and re-added, wedge-closing inserts inside one ground-truth community,
+    and a batch whose candidate visits pass the work bound."""
+
+    @pytest.mark.parametrize("vec", [False, True], ids=["python-tier", "vec-tier"])
+    def test_adversarial_edits_keep_snapshot_and_index_parity(self, vec, monkeypatch):
+        if vec and not vec_kernels.numpy_available():
+            pytest.skip("numpy extra not installed")
+        vec_kernels.set_vec_enabled(vec)
+        try:
+            dataset = load_dataset("livejournal")
+            manager = EpochManager(dataset.graph.copy())
+            manager.bind_index(build_index(manager.frozen, dataset="livejournal"))
+            mirror = dataset.graph.copy()
+            peels = spy_full_peels(monkeypatch)
+            top = top_truss_edges(manager.frozen, 30)
+            largest = max(
+                dataset.communities, key=lambda members: (len(members), sorted(map(repr, members)))
+            )
+            wedges = wedge_closing_edges(mirror, largest, 10)
+            batches = [
+                [("remove_edge", u, v) for u, v in top[:15]],
+                [("remove_edge", u, v) for u, v in top[15:]],
+                [("add_edge", u, v) for u, v in top[:15]],
+                [("add_edge", u, v) for u, v in top[15:]],
+                [("add_edge", u, v) for u, v in wedges],
+            ]
+            for ops in batches:
+                batch = DeltaBatch.from_wire([list(op) for op in ops])
+                batch.apply(mirror)
+                assert manager.apply(batch).mode == "incremental"
+                assert_snapshot_parity(manager.frozen, mirror)
+                assert_index_matches_fresh_build(manager.index, mirror, "livejournal")
+            assert peels == []  # every epoch above was repaired, not peeled
+            # 32 delete/re-add rounds of the costliest top edge visit more
+            # candidate edges than the snapshot has edges: the batch falls back
+            edges = manager.frozen.number_of_edges()
+            u, v = heaviest_deletion(manager, mirror, top)
+            batch = DeltaBatch()
+            for _ in range(32):
+                batch.remove_edge(u, v).add_edge(u, v)
+            batch.apply(mirror)
+            assert manager.apply(batch).mode == "incremental"
+            assert peels == [edges]
+            assert_snapshot_parity(manager.frozen, mirror)
+            assert_index_matches_fresh_build(manager.index, mirror, "livejournal")
+        finally:
+            vec_kernels.set_vec_enabled(None)
 
 
 class TestEpochManagerLifecycle:
